@@ -5,7 +5,6 @@ use aqfp_cells::Technology;
 use aqfp_netlist::generators::{benchmark_circuit, Benchmark};
 use aqfp_place::{PlacementEngine, PlacementResult, PlacerKind};
 use aqfp_synth::Synthesizer;
-use parking_lot::Mutex;
 
 use crate::reference;
 
@@ -56,39 +55,39 @@ pub struct Table3Row {
 
 /// Synthesizes and places every requested circuit with all three placers.
 ///
-/// Circuits are processed in parallel (one worker thread per circuit, scoped
-/// with crossbeam) because the nine Table III rows are independent; results
-/// are returned in the requested order.
+/// Circuits are processed in parallel (one scoped worker thread per
+/// circuit) because the nine Table III rows are independent; results are
+/// returned in the requested order.
 pub fn table3_rows(circuits: &[Benchmark]) -> Vec<Table3Row> {
     let library = Technology::mit_ll_sqf5ee();
-    let results: Mutex<Vec<Option<Table3Row>>> = Mutex::new(vec![None; circuits.len()]);
-
-    crossbeam::thread::scope(|scope| {
-        for (index, &circuit) in circuits.iter().enumerate() {
-            let library = library.clone();
-            let results = &results;
-            scope.spawn(move |_| {
-                let synthesizer = Synthesizer::new(library.clone());
-                let engine = PlacementEngine::new(library);
-                let synthesized = synthesizer
-                    .run(&benchmark_circuit(circuit))
-                    .expect("benchmark circuits are valid by construction");
-                let gordian = engine.place(&synthesized, PlacerKind::GordianBased);
-                let taas = engine.place(&synthesized, PlacerKind::Taas);
-                let superflow = engine.place(&synthesized, PlacerKind::SuperFlow);
-                let row = Table3Row {
-                    circuit,
-                    gordian: PlacerColumns::from_result(&gordian),
-                    taas: PlacerColumns::from_result(&taas),
-                    superflow: PlacerColumns::from_result(&superflow),
-                };
-                results.lock()[index] = Some(row);
-            });
-        }
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = circuits
+            .iter()
+            .map(|&circuit| {
+                let library = library.clone();
+                scope.spawn(move || {
+                    let synthesizer = Synthesizer::new(library.clone());
+                    let engine = PlacementEngine::new(library);
+                    let synthesized = synthesizer
+                        .run(&benchmark_circuit(circuit))
+                        .expect("benchmark circuits are valid by construction");
+                    let gordian = engine.place(&synthesized, PlacerKind::GordianBased);
+                    let taas = engine.place(&synthesized, PlacerKind::Taas);
+                    let superflow = engine.place(&synthesized, PlacerKind::SuperFlow);
+                    Table3Row {
+                        circuit,
+                        gordian: PlacerColumns::from_result(&gordian),
+                        taas: PlacerColumns::from_result(&taas),
+                        superflow: PlacerColumns::from_result(&superflow),
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| worker.join().expect("placement workers do not panic"))
+            .collect()
     })
-    .expect("placement workers do not panic");
-
-    results.into_inner().into_iter().map(|row| row.expect("every circuit produced a row")).collect()
 }
 
 /// Geometric-mean ratio of a metric between two placers across all rows,

@@ -5,7 +5,6 @@ use aqfp_netlist::generators::{benchmark_circuit, Benchmark};
 use aqfp_place::{PlacementEngine, PlacerKind};
 use aqfp_route::Router;
 use aqfp_synth::Synthesizer;
-use parking_lot::Mutex;
 
 use crate::reference;
 
@@ -36,37 +35,37 @@ pub struct Table4Row {
 /// Table IV row is independent of the others.
 pub fn table4_rows(circuits: &[Benchmark]) -> Vec<Table4Row> {
     let library = Technology::mit_ll_sqf5ee();
-    let results: Mutex<Vec<Option<Table4Row>>> = Mutex::new(vec![None; circuits.len()]);
-
-    crossbeam::thread::scope(|scope| {
-        for (index, &circuit) in circuits.iter().enumerate() {
-            let library = library.clone();
-            let results = &results;
-            scope.spawn(move |_| {
-                let synthesizer = Synthesizer::new(library.clone());
-                let engine = PlacementEngine::new(library.clone());
-                let router = Router::new(library);
-                let synthesized = synthesizer
-                    .run(&benchmark_circuit(circuit))
-                    .expect("benchmark circuits are valid by construction");
-                let placed = engine.place(&synthesized, PlacerKind::SuperFlow);
-                let routing = router.route(&placed.design);
-                let row = Table4Row {
-                    circuit,
-                    jjs_after_routing: routing.jj_count,
-                    nets: placed.design.net_count(),
-                    routed_wirelength: routing.stats.total_wirelength_um,
-                    vias: routing.stats.total_vias,
-                    space_expansions: routing.stats.space_expansions,
-                    failed_nets: routing.stats.failed_nets,
-                };
-                results.lock()[index] = Some(row);
-            });
-        }
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = circuits
+            .iter()
+            .map(|&circuit| {
+                let library = library.clone();
+                scope.spawn(move || {
+                    let synthesizer = Synthesizer::new(library.clone());
+                    let engine = PlacementEngine::new(library.clone());
+                    let router = Router::new(library);
+                    let synthesized = synthesizer
+                        .run(&benchmark_circuit(circuit))
+                        .expect("benchmark circuits are valid by construction");
+                    let placed = engine.place(&synthesized, PlacerKind::SuperFlow);
+                    let routing = router.route(&placed.design);
+                    Table4Row {
+                        circuit,
+                        jjs_after_routing: routing.jj_count,
+                        nets: placed.design.net_count(),
+                        routed_wirelength: routing.stats.total_wirelength_um,
+                        vias: routing.stats.total_vias,
+                        space_expansions: routing.stats.space_expansions,
+                        failed_nets: routing.stats.failed_nets,
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| worker.join().expect("routing workers do not panic"))
+            .collect()
     })
-    .expect("routing workers do not panic");
-
-    results.into_inner().into_iter().map(|row| row.expect("every circuit produced a row")).collect()
 }
 
 /// Formats the measured rows next to the paper's values.

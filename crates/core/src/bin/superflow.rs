@@ -154,22 +154,28 @@
 //! Exit codes: 0 success, 1 flow error, 2 usage error, 3 partial batch
 //! failure (the batch completed, but at least one design failed — including
 //! designs rejected by the pre-flight lint stage, which the batch report
-//! distinguishes from runtime failures).
+//! distinguishes from runtime failures). A usage error — an unknown flag, a
+//! missing or extra argument — exits 2 with the usage text for every
+//! command, `tech` included.
 
 #![warn(clippy::unwrap_used)]
 
+use std::fmt;
+use std::io::Write;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use aqfp_cells::{EnergyModel, Technology, TechnologyRegistry};
 use aqfp_layout::{render_svg, DrcReport, SvgOptions};
 use aqfp_netlist::generators::LargeFamily;
 use aqfp_netlist::Netlist;
 use aqfp_place::PlacerKind;
+use superflow::lint::RuleInfo;
 use superflow::verify::{mutate, Defect};
 use superflow::{
     error_chain, BatchConfig, BatchJob, BatchRunner, Checked, Fault, FaultPlan, Flow, FlowConfig,
-    FlowObserver, FlowReport, FlowSession, FlowStage, LintConfig, Placed, RepairScope, Routed,
-    Synthesized, TechSpec, VerifyConfig, VerifyReport,
+    FlowObserver, FlowReport, FlowSession, FlowStage, LintConfig, LintReport, Placed,
+    PredictReport, RepairScope, Routed, Synthesized, TechSpec, VerifyConfig, VerifyReport,
 };
 
 /// Exit code for usage errors (bad flags, malformed specs).
@@ -178,122 +184,478 @@ const EXIT_USAGE: u8 = 2;
 /// as failed.
 const EXIT_PARTIAL_FAILURE: u8 = 3;
 
+// ---------------------------------------------------------------------------
+// Output
+// ---------------------------------------------------------------------------
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// The one path all CLI stdout takes. When the reader has gone away
+/// (`superflow generate … | head -1`), the rest of the output is dropped
+/// without a word and the command finishes with its own exit code; any other
+/// write failure ends the process with exit 1.
+fn write_stdout(args: fmt::Arguments<'_>) {
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+        CLOSED.store(true, Ordering::Relaxed);
+    }
+}
+
+fn write_file(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write `{path}`: {e}"))
+}
+
+// ---------------------------------------------------------------------------
+// Command line
+// ---------------------------------------------------------------------------
+
+/// How a flag reads its value: the one parse rule each flag has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Takes {
+    /// A switch without a value.
+    Nothing,
+    /// One value; a repeated flag overrides the earlier value.
+    Value,
+    /// One non-negative integer; a repeated flag overrides.
+    Number,
+    /// One value per occurrence, all kept in order.
+    Each,
+    /// One value, given at most once.
+    Once,
+}
+
+/// Every flag of every command with its parse rule. `--process` is the
+/// legacy alias of `--tech` and shares its once-only slot; `-o` is
+/// generate's short `--output`.
+const FLAGS: &[(&str, Takes)] = &[
+    ("--placer", Takes::Value),
+    ("--tech", Takes::Once),
+    ("--process", Takes::Once),
+    ("--threads", Takes::Number),
+    ("--stop-after", Takes::Value),
+    ("--report", Takes::Value),
+    ("--output", Takes::Value),
+    ("-o", Takes::Value),
+    ("--svg", Takes::Value),
+    ("--fast", Takes::Nothing),
+    ("--verify", Takes::Nothing),
+    ("--fanout-threshold", Takes::Number),
+    ("--quiet", Takes::Nothing),
+    ("--workers", Takes::Number),
+    ("--stage-timeout", Takes::Value),
+    ("--no-predict", Takes::Nothing),
+    ("--no-retry", Takes::Nothing),
+    ("--journal", Takes::Value),
+    ("--output-dir", Takes::Value),
+    ("--fault", Takes::Each),
+    ("--format", Takes::Value),
+    ("--deny", Takes::Each),
+    ("--warn", Takes::Each),
+    ("--allow", Takes::Each),
+    ("--rules", Takes::Nothing),
+    ("--against", Takes::Once),
+    ("--inject-defect", Takes::Value),
+    ("--cells", Takes::Number),
+    ("--seed", Takes::Number),
+];
+
+/// Every command (its leading words; `""` is the plain flow run) and the
+/// flags it accepts besides `--help`/`-h`.
+const COMMANDS: &[(&str, &str)] = &[
+    (
+        "",
+        "--placer --tech --process --threads --stop-after --report --output --svg --fast --verify \
+         --fanout-threshold --quiet",
+    ),
+    (
+        "batch",
+        "--placer --tech --process --threads --workers --stage-timeout --no-predict --no-retry \
+         --journal --output-dir --report --fault --fast --verify --fanout-threshold --quiet",
+    ),
+    ("lint", "--tech --process --format --deny --warn --allow --fanout-threshold --rules"),
+    ("predict", "--tech --process --format --deny --warn --allow --rules"),
+    ("verify", "--tech --process --threads --fast --format --against --inject-defect --rules"),
+    ("generate", "--cells --seed --output -o"),
+    ("tech list", "--quiet"),
+    ("tech show", ""),
+    ("tech dump", "--output"),
+];
+
+/// A scanned command line.
+#[derive(Debug, Default)]
+struct Args {
+    /// `(flag, value)` in command-line order under each flag's canonical
+    /// spelling; switches carry an empty value.
+    flags: Vec<(&'static str, String)>,
+    positionals: Vec<String>,
+}
+
+impl Args {
+    /// Walks `args` once, accepting only the flags in `accepted`. Anything
+    /// else starting with `--` is a usage error; other words are
+    /// positional. Returns `None` when `--help`/`-h` is reached.
+    fn scan(args: &[String], accepted: &str) -> Result<Option<Args>, String> {
+        let accepts = |flag: &str| accepted.split_whitespace().any(|a| a == flag);
+        let mut scanned = Args::default();
+        let mut iter = args.iter();
+        while let Some(arg) = iter.next() {
+            if arg == "--help" || arg == "-h" {
+                return Ok(None);
+            }
+            if !arg.starts_with("--") && !accepts(arg) {
+                scanned.positionals.push(arg.clone());
+                continue;
+            }
+            let Some(&(flag, takes)) = FLAGS.iter().find(|(flag, _)| flag == arg && accepts(flag))
+            else {
+                return Err(format!("unknown option `{arg}`"));
+            };
+            let mut value = String::new();
+            if takes != Takes::Nothing {
+                value = iter.next().ok_or_else(|| format!("{flag} needs a value"))?.clone();
+            }
+            let flag = match flag {
+                "-o" => "--output",
+                "--process" => {
+                    value = match value.as_str() {
+                        "mit-ll" | "mitll" => aqfp_cells::MIT_LL_SQF5EE,
+                        "stp2" => aqfp_cells::AIST_STP2,
+                        other => return Err(format!("unknown process `{other}`")),
+                    }
+                    .to_owned();
+                    "--tech"
+                }
+                flag => flag,
+            };
+            if takes == Takes::Number && value.parse::<usize>().is_err() {
+                return Err(format!("{flag} needs a number, got `{value}`"));
+            }
+            if takes == Takes::Once && scanned.has(flag) {
+                let flag = if flag == "--tech" { "--tech/--process" } else { flag };
+                return Err(format!("{flag} given more than once"));
+            }
+            scanned.flags.push((flag, value));
+        }
+        Ok(Some(scanned))
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The last value given for `flag`.
+    fn value(&self, flag: &str) -> Option<String> {
+        self.flags.iter().rev().find(|(f, _)| *f == flag).map(|(_, value)| value.clone())
+    }
+
+    /// Every value given for `flag`, in order.
+    fn values(&self, flag: &str) -> Vec<String> {
+        self.flags.iter().filter(|(f, _)| *f == flag).map(|(_, value)| value.clone()).collect()
+    }
+
+    /// The last value of a [`Takes::Number`] flag (validated by the scan).
+    fn number<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        self.value(flag).and_then(|value| value.parse().ok())
+    }
+
+    /// The last value of `flag` through `parse`; a value it rejects is a
+    /// usage error.
+    fn parsed<T>(
+        &self,
+        flag: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        self.value(flag)
+            .map(|value| parse(&value).ok_or_else(|| format!("invalid {flag} value `{value}`")))
+            .transpose()
+    }
+
+    /// The one positional argument, called `what` in errors.
+    fn single(&self, what: &str) -> Result<String, String> {
+        match self.positionals.as_slice() {
+            [one] => Ok(one.clone()),
+            [] => Err(format!("no {what} given")),
+            _ => Err(format!("more than one {what} given")),
+        }
+    }
+}
+
+/// A parsed command line.
 #[derive(Debug)]
-struct CliOptions {
-    input: String,
-    placer: PlacerKind,
+enum Command {
+    Help,
+    Flow(FlowOptions),
+    Batch(Box<BatchOptions>),
+    Lint(ReportOptions),
+    Predict(ReportOptions),
+    Verify(ReportOptions),
+    Generate(GenerateOptions),
+    Tech(TechCommand),
+}
+
+/// The flags that select a [`FlowConfig`]; every command that builds one
+/// reads the ones it accepts.
+#[derive(Debug)]
+struct FlowArgs {
+    fast: bool,
     tech: Option<String>,
+    placer: PlacerKind,
     threads: Option<usize>,
+    verify: bool,
+    lint: LintConfig,
+}
+
+impl FlowArgs {
+    fn parse(args: &Args) -> Result<Self, String> {
+        let placer = args.parsed("--placer", |value| match value {
+            "superflow" => Some(PlacerKind::SuperFlow),
+            "gordian" => Some(PlacerKind::GordianBased),
+            "taas" => Some(PlacerKind::Taas),
+            _ => None,
+        })?;
+        Ok(Self {
+            fast: args.has("--fast"),
+            tech: args.value("--tech"),
+            placer: placer.unwrap_or(PlacerKind::SuperFlow),
+            threads: args.number("--threads"),
+            verify: args.has("--verify"),
+            lint: LintConfig {
+                deny: args.values("--deny"),
+                warn: args.values("--warn"),
+                allow: args.values("--allow"),
+                fanout_threshold: args.number("--fanout-threshold"),
+            },
+        })
+    }
+
+    /// The flow configuration these flags select.
+    fn config(&self) -> FlowConfig {
+        let config = if self.fast { FlowConfig::fast() } else { FlowConfig::paper_default() };
+        let config = config.with_placer(self.placer).with_lint(self.lint.clone());
+        let config = match &self.tech {
+            Some(value) => config.with_tech(tech_spec(value)),
+            None => config,
+        };
+        let config = match self.threads {
+            Some(threads) => config.with_threads(threads),
+            None => config,
+        };
+        if self.verify {
+            config.with_verify(VerifyConfig { enabled: true, ..VerifyConfig::default() })
+        } else {
+            config
+        }
+    }
+}
+
+#[derive(Debug)]
+struct FlowOptions {
+    input: String,
+    flow: FlowArgs,
     stop_after: Option<FlowStage>,
     report: Option<String>,
     output: Option<String>,
     svg: Option<String>,
-    fast: bool,
-    verify: bool,
-    fanout_threshold: Option<usize>,
     quiet: bool,
 }
 
-fn parse_args(args: &[String]) -> Result<CliOptions, String> {
-    let mut options = CliOptions {
-        input: String::new(),
-        placer: PlacerKind::SuperFlow,
-        tech: None,
-        threads: None,
-        stop_after: None,
-        report: None,
-        output: None,
-        svg: None,
-        fast: false,
-        verify: false,
-        fanout_threshold: None,
-        quiet: false,
-    };
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--placer" => {
-                let value = iter.next().ok_or("--placer needs a value")?;
-                options.placer = match value.as_str() {
-                    "superflow" => PlacerKind::SuperFlow,
-                    "gordian" => PlacerKind::GordianBased,
-                    "taas" => PlacerKind::Taas,
-                    other => return Err(format!("unknown placer `{other}`")),
-                };
-            }
-            "--tech" => {
-                let value = iter.next().ok_or("--tech needs a value")?;
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
-                }
-                options.tech = Some(value.clone());
-            }
-            "--process" => {
-                let value = iter.next().ok_or("--process needs a value")?;
-                let name = match value.as_str() {
-                    "mit-ll" | "mitll" => aqfp_cells::MIT_LL_SQF5EE,
-                    "stp2" => aqfp_cells::AIST_STP2,
-                    other => return Err(format!("unknown process `{other}`")),
-                };
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
-                }
-                options.tech = Some(name.to_owned());
-            }
-            "--threads" => {
-                let value = iter.next().ok_or("--threads needs a value")?;
-                options.threads = Some(
-                    value
-                        .parse::<usize>()
-                        .map_err(|_| format!("--threads needs a number, got `{value}`"))?,
-                );
-            }
-            "--stop-after" => {
-                let value = iter.next().ok_or("--stop-after needs a value")?;
-                options.stop_after = Some(match value.as_str() {
-                    "synthesis" | "synth" => FlowStage::Synthesis,
-                    "placement" | "place" => FlowStage::Placement,
-                    "routing" | "route" => FlowStage::Routing,
-                    "check" | "drc" => FlowStage::Check,
-                    other => return Err(format!("unknown stage `{other}`")),
-                });
-            }
-            "--report" => {
-                options.report = Some(iter.next().ok_or("--report needs a value")?.clone())
-            }
-            "--output" => {
-                options.output = Some(iter.next().ok_or("--output needs a value")?.clone())
-            }
-            "--svg" => options.svg = Some(iter.next().ok_or("--svg needs a value")?.clone()),
-            "--fast" => options.fast = true,
-            "--verify" => options.verify = true,
-            "--fanout-threshold" => {
-                let value = iter.next().ok_or("--fanout-threshold needs a value")?;
-                options.fanout_threshold =
-                    Some(value.parse::<usize>().map_err(|_| {
-                        format!("--fanout-threshold needs a number, got `{value}`")
-                    })?);
-            }
-            "--quiet" => options.quiet = true,
-            "--help" | "-h" => return Err("help".to_owned()),
-            other if other.starts_with("--") => return Err(format!("unknown option `{other}`")),
-            other => {
-                if !options.input.is_empty() {
-                    return Err("more than one input given".to_owned());
-                }
-                options.input = other.to_owned();
-            }
+#[derive(Debug)]
+struct BatchOptions {
+    inputs: Vec<String>,
+    config: BatchConfig,
+    report: Option<String>,
+    quiet: bool,
+}
+
+/// The options of the report commands: lint, predict and verify.
+#[derive(Debug)]
+struct ReportOptions {
+    inputs: Vec<String>,
+    flow: FlowArgs,
+    json: bool,
+    rules: bool,
+    against: Option<String>,
+    inject: Option<Defect>,
+}
+
+#[derive(Debug)]
+struct GenerateOptions {
+    family: LargeFamily,
+    cells: usize,
+    seed: u64,
+    output: Option<String>,
+}
+
+#[derive(Debug)]
+enum TechCommand {
+    List { quiet: bool },
+    Show(String),
+    Dump { name: String, output: Option<String> },
+}
+
+impl FlowOptions {
+    fn parse(args: &Args) -> Result<Self, String> {
+        let options = Self {
+            input: args.single("input")?,
+            flow: FlowArgs::parse(args)?,
+            stop_after: args.parsed("--stop-after", |value| {
+                FlowStage::parse(value).or(match value {
+                    "synth" => Some(FlowStage::Synthesis),
+                    "place" => Some(FlowStage::Placement),
+                    "route" => Some(FlowStage::Routing),
+                    "drc" => Some(FlowStage::Check),
+                    _ => None,
+                })
+            })?,
+            report: args.value("--report"),
+            output: args.value("--output"),
+            svg: args.value("--svg"),
+            quiet: args.has("--quiet"),
+        };
+        if options.stop_after.is_some() && (options.output.is_some() || options.svg.is_some()) {
+            return Err("--output/--svg write final layout artifacts, which --stop-after skips; \
+                        drop --stop-after (or use --report to keep that stage's checkpoint)"
+                .to_owned());
         }
+        Ok(options)
     }
-    if options.input.is_empty() {
-        return Err("no input given".to_owned());
+}
+
+impl BatchOptions {
+    fn parse(args: &Args) -> Result<Self, String> {
+        let inputs = args.positionals.clone();
+        if inputs.is_empty() {
+            return Err("batch needs at least one input".to_owned());
+        }
+        let mut names: Vec<String> = Vec::new();
+        for input in &inputs {
+            let name = BatchJob::from_input(input).name;
+            if names.contains(&name) {
+                return Err(format!(
+                    "two batch inputs reduce to the design name `{name}`; journals and GDS \
+                     outputs are keyed by name, so each design needs a distinct one"
+                ));
+            }
+            names.push(name);
+        }
+        let faults: Result<Vec<Fault>, String> =
+            args.values("--fault").iter().map(|f| Fault::parse(f)).collect();
+        let mut config = BatchConfig::new(FlowArgs::parse(args)?.config())
+            .with_workers(args.number("--workers").unwrap_or(0))
+            .with_retry_degraded(!args.has("--no-retry"))
+            .with_predict(!args.has("--no-predict"))
+            .with_faults(FaultPlan { faults: faults? });
+        let timeout = args.parsed("--stage-timeout", |value| {
+            value.parse::<f64>().ok().filter(|s| s.is_finite() && *s >= 0.0)
+        })?;
+        if let Some(seconds) = timeout {
+            config = config.with_stage_timeout_s(seconds);
+        }
+        if let Some(dir) = args.value("--journal") {
+            config = config.with_journal_dir(dir);
+        }
+        if let Some(dir) = args.value("--output-dir") {
+            config = config.with_output_dir(dir);
+        }
+        Ok(Self { inputs, config, report: args.value("--report"), quiet: args.has("--quiet") })
     }
-    if options.stop_after.is_some() && (options.output.is_some() || options.svg.is_some()) {
-        return Err("--output/--svg write final layout artifacts, which --stop-after skips; \
-             drop --stop-after (or use --report to keep that stage's checkpoint)"
-            .to_owned());
+}
+
+impl ReportOptions {
+    fn parse(args: &Args, command: &str) -> Result<Self, String> {
+        if args.positionals.is_empty() && !args.has("--rules") {
+            return Err(format!("{command} needs at least one input (or --rules)"));
+        }
+        let json = args.parsed("--format", |value| match value {
+            "json" => Some(true),
+            "text" => Some(false),
+            _ => None,
+        })?;
+        Ok(Self {
+            inputs: args.positionals.clone(),
+            flow: FlowArgs::parse(args)?,
+            json: json.unwrap_or(false),
+            rules: args.has("--rules"),
+            against: args.value("--against"),
+            inject: args.parsed("--inject-defect", Defect::parse)?,
+        })
     }
-    Ok(options)
+}
+
+impl GenerateOptions {
+    fn parse(args: &Args) -> Result<Self, String> {
+        if args.values("--output").len() > 1 {
+            return Err("--output given more than once".to_owned());
+        }
+        let family = args.single("generator family")?;
+        let family = LargeFamily::parse(&family).ok_or_else(|| {
+            format!(
+                "unknown generator family `{family}` (available: {})",
+                LargeFamily::ALL.map(|f| f.name()).join(", ")
+            )
+        })?;
+        Ok(Self {
+            family,
+            cells: args.number("--cells").unwrap_or(10_000),
+            seed: args.number("--seed").unwrap_or(0),
+            output: args.value("--output"),
+        })
+    }
+}
+
+/// Parses a whole command line: picks the command from its leading words,
+/// scans the rest against that command's flags, and builds its options.
+fn parse_cli(args: &[String]) -> Result<Command, String> {
+    let (command, accepted) = COMMANDS
+        .iter()
+        .rev()
+        .find(|(name, _)| {
+            name.split_whitespace()
+                .enumerate()
+                .all(|(i, word)| args.get(i).is_some_and(|a| a == word))
+        })
+        .copied()
+        .unwrap_or(COMMANDS[0]);
+    if command.is_empty() && args.first().is_some_and(|a| a == "tech") {
+        return Err(match args.get(1) {
+            Some(action) => format!("unknown tech subcommand `{action}`"),
+            None => "tech subcommand needs an action: list, show or dump".to_owned(),
+        });
+    }
+    let rest = &args[command.split_whitespace().count()..];
+    let Some(args) = Args::scan(rest, accepted)? else { return Ok(Command::Help) };
+    Ok(match command {
+        "" => Command::Flow(FlowOptions::parse(&args)?),
+        "batch" => Command::Batch(Box::new(BatchOptions::parse(&args)?)),
+        "lint" => Command::Lint(ReportOptions::parse(&args, command)?),
+        "predict" => Command::Predict(ReportOptions::parse(&args, command)?),
+        "verify" => Command::Verify(ReportOptions::parse(&args, command)?),
+        "generate" => Command::Generate(GenerateOptions::parse(&args)?),
+        "tech list" => match args.positionals.first() {
+            Some(extra) => return Err(format!("unexpected argument `{extra}`")),
+            None => Command::Tech(TechCommand::List { quiet: args.has("--quiet") }),
+        },
+        "tech show" => Command::Tech(TechCommand::Show(args.single("technology name or file")?)),
+        _ => Command::Tech(TechCommand::Dump {
+            name: args.single("technology name")?,
+            output: args.value("--output"),
+        }),
+    })
 }
 
 fn usage() -> &'static str {
@@ -340,30 +702,6 @@ fn tech_spec(value: &str) -> TechSpec {
     }
 }
 
-/// The flow configuration the command line selects, assembled through the
-/// `FlowConfig` builders.
-fn build_config(options: &CliOptions) -> FlowConfig {
-    let config = if options.fast { FlowConfig::fast() } else { FlowConfig::paper_default() };
-    let config = match &options.tech {
-        Some(value) => config.with_tech(tech_spec(value)),
-        None => config,
-    };
-    let config = config.with_placer(options.placer);
-    let config = match options.threads {
-        Some(threads) => config.with_threads(threads),
-        None => config,
-    };
-    let mut config = if options.verify {
-        config.with_verify(VerifyConfig { enabled: true, ..VerifyConfig::default() })
-    } else {
-        config
-    };
-    if let Some(threshold) = options.fanout_threshold {
-        config.lint.fanout_threshold = Some(threshold);
-    }
-    config
-}
-
 /// Loads the input netlist through the shared [`superflow::input`] loader
 /// (benchmark names resolve to generated circuits, file paths dispatch on
 /// their extension), rendering errors with their full source chain.
@@ -371,16 +709,62 @@ fn load_netlist(input: &str) -> Result<Netlist, String> {
     superflow::load_netlist(input).map_err(|e| error_chain(&e))
 }
 
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let command = match parse_cli(&args) {
+        Ok(command) => command,
+        Err(message) => {
+            eprintln!("error: {message}\n{}", usage());
+            return ExitCode::from(EXIT_USAGE);
+        }
+    };
+    let result = match &command {
+        Command::Help => {
+            outln!("{}", usage());
+            Ok(ExitCode::SUCCESS)
+        }
+        Command::Flow(options) => run_flow_cli(options),
+        Command::Batch(options) => run_batch_cli(options),
+        Command::Lint(options) => run_reports(options, superflow::lint::catalog, || {
+            let flow = options.flow.config();
+            let technology = flow.resolve_technology().map_err(|e| error_chain(&e))?;
+            Ok(move |input: &str| lint_one(input, &technology, &flow))
+        }),
+        Command::Predict(options) => run_reports(options, superflow::predict::catalog, || {
+            let flow = options.flow.config();
+            let technology = flow.resolve_technology().map_err(|e| error_chain(&e))?;
+            Ok(move |input: &str| predict_one(input, &technology, &flow))
+        }),
+        Command::Verify(options) => run_reports(options, superflow::verify::catalog, || {
+            let config = options.flow.config();
+            Ok(move |input: &str| verify_one(input, options, &config))
+        }),
+        Command::Generate(options) => run_generate_cli(options),
+        Command::Tech(tech) => run_tech(tech).map(|text| {
+            outln!("{text}");
+            ExitCode::SUCCESS
+        }),
+    };
+    result.unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        ExitCode::FAILURE
+    })
+}
+
+// ---------------------------------------------------------------------------
+// The flow run
+// ---------------------------------------------------------------------------
+
 /// Prints stage progress unless `--quiet` is given.
 struct StageLog;
 
 impl FlowObserver for StageLog {
     fn stage_finished(&mut self, stage: FlowStage, elapsed_s: f64) {
-        println!("[{:<9}] finished in {elapsed_s:.2}s", stage.name());
+        outln!("[{:<9}] finished in {elapsed_s:.2}s", stage.name());
     }
 
     fn drc_iteration(&mut self, iteration: usize, report: &DrcReport, scope: RepairScope<'_>) {
-        println!(
+        outln!(
             "[{:<9}] repair iteration {iteration}: {} violation(s), {scope}",
             "check",
             report.violations.len(),
@@ -397,12 +781,12 @@ enum Outcome {
     Stopped { stage: FlowStage, summary: String, checkpoint: Option<String> },
 }
 
-fn run(options: &CliOptions) -> Result<Outcome, String> {
+fn run(options: &FlowOptions) -> Result<Outcome, String> {
     let netlist = load_netlist(&options.input)?;
-    let flow = Flow::with_config(build_config(options));
+    let flow = Flow::with_config(options.flow.config());
     let mut session = flow.session().map_err(|e| error_chain(&e))?;
     if !options.quiet {
-        println!(
+        outln!(
             "[{:<9}] technology {} ({})",
             "tech",
             session.technology().name,
@@ -410,598 +794,241 @@ fn run(options: &CliOptions) -> Result<Outcome, String> {
         );
         session.add_observer(Box::new(StageLog));
     }
-    let want_checkpoint = options.report.is_some();
-    let checkpoint_of =
-        |json: Result<String, superflow::FlowError>| json.map_err(|e| error_chain(&e)).map(Some);
 
     let synthesized = session.synthesize(&netlist).map_err(|e| error_chain(&e))?;
     if options.stop_after == Some(FlowStage::Synthesis) {
-        return Ok(Outcome::Stopped {
-            stage: FlowStage::Synthesis,
-            summary: format!(
-                "{}: {} JJs / {} nets / {} phases after synthesis",
-                synthesized.design_name,
-                synthesized.stats().jj_count,
-                synthesized.stats().net_count,
-                synthesized.stats().delay
-            ),
-            checkpoint: if want_checkpoint { checkpoint_of(synthesized.to_json())? } else { None },
-        });
+        let stats = synthesized.stats();
+        let summary = format!(
+            "{}: {} JJs / {} nets / {} phases after synthesis",
+            synthesized.design_name, stats.jj_count, stats.net_count, stats.delay
+        );
+        return stopped(options, FlowStage::Synthesis, summary, || synthesized.to_json());
     }
 
     let placed = session.place(synthesized).map_err(|e| error_chain(&e))?;
     if options.stop_after == Some(FlowStage::Placement) {
-        return Ok(Outcome::Stopped {
-            stage: FlowStage::Placement,
-            summary: format!(
-                "{}: HPWL {:.0} µm, {} buffer lines, WNS {}",
-                placed.synthesized.design_name,
-                placed.placement.hpwl_um,
-                placed.placement.buffer_lines,
-                placed.placement.wns_display()
-            ),
-            checkpoint: if want_checkpoint { checkpoint_of(placed.to_json())? } else { None },
-        });
+        let summary = format!(
+            "{}: HPWL {:.0} µm, {} buffer lines, WNS {}",
+            placed.synthesized.design_name,
+            placed.placement.hpwl_um,
+            placed.placement.buffer_lines,
+            placed.placement.wns_display()
+        );
+        return stopped(options, FlowStage::Placement, summary, || placed.to_json());
     }
 
     let routed = session.route(placed).map_err(|e| error_chain(&e))?;
     if options.stop_after == Some(FlowStage::Routing) {
-        return Ok(Outcome::Stopped {
-            stage: FlowStage::Routing,
-            summary: format!(
-                "{}: routed {} nets, {:.0} µm, {} vias",
-                routed.placed.synthesized.design_name,
-                routed.routing.stats.nets_routed,
-                routed.routing.stats.total_wirelength_um,
-                routed.routing.stats.total_vias
-            ),
-            checkpoint: if want_checkpoint { checkpoint_of(routed.to_json())? } else { None },
-        });
+        let stats = &routed.routing.stats;
+        let summary = format!(
+            "{}: routed {} nets, {:.0} µm, {} vias",
+            routed.placed.synthesized.design_name,
+            stats.nets_routed,
+            stats.total_wirelength_um,
+            stats.total_vias
+        );
+        return stopped(options, FlowStage::Routing, summary, || routed.to_json());
     }
 
     let checked = session.check(routed).map_err(|e| error_chain(&e))?;
     if options.stop_after == Some(FlowStage::Check) {
-        return Ok(Outcome::Stopped {
-            stage: FlowStage::Check,
-            summary: format!(
-                "{}: DRC {} after {} repair iteration(s)",
-                checked.routed.placed.synthesized.design_name,
-                if checked.drc.is_clean() {
-                    "clean".to_owned()
-                } else {
-                    format!("{} violations", checked.drc.violations.len())
-                },
-                checked.drc_iterations
-            ),
-            checkpoint: if want_checkpoint { checkpoint_of(checked.to_json())? } else { None },
-        });
+        let drc = if checked.drc.is_clean() {
+            "clean".to_owned()
+        } else {
+            format!("{} violations", checked.drc.violations.len())
+        };
+        let summary = format!(
+            "{}: DRC {drc} after {} repair iteration(s)",
+            checked.routed.placed.synthesized.design_name, checked.drc_iterations
+        );
+        return stopped(options, FlowStage::Check, summary, || checked.to_json());
     }
 
     Ok(Outcome::Complete(Box::new(session.finish(checked))))
 }
 
+/// `--stop-after` ended the run at `stage`; the checkpoint is rendered only
+/// when `--report` asks for it.
+fn stopped(
+    options: &FlowOptions,
+    stage: FlowStage,
+    summary: String,
+    to_json: impl FnOnce() -> Result<String, superflow::FlowError>,
+) -> Result<Outcome, String> {
+    let checkpoint = match options.report {
+        Some(_) => Some(to_json().map_err(|e| error_chain(&e))?),
+        None => None,
+    };
+    Ok(Outcome::Stopped { stage, summary, checkpoint })
+}
+
+fn run_flow_cli(options: &FlowOptions) -> Result<ExitCode, String> {
+    let report = match run(options)? {
+        Outcome::Complete(report) => report,
+        Outcome::Stopped { stage, summary, checkpoint } => {
+            outln!("{summary}");
+            match (&options.report, checkpoint) {
+                (Some(path), Some(json)) => {
+                    write_file(path, json)?;
+                    outln!("stopped after {stage}; checkpoint written to {path}");
+                }
+                _ => outln!("stopped after {stage} (pass --report to keep a checkpoint)"),
+            }
+            return Ok(ExitCode::SUCCESS);
+        }
+    };
+
+    if let Some(path) = &options.report {
+        let json = serde_json::to_string_pretty(&*report)
+            .map_err(|e| format!("cannot serialize report: {e}"))?;
+        write_file(path, json)?;
+    }
+
+    let gds_path = options.output.clone().unwrap_or_else(|| format!("{}.gds", report.design_name));
+    // Stream record by record through a BufWriter instead of materializing
+    // the byte image — at a million cells the image alone is tens of MB.
+    std::fs::File::create(&gds_path)
+        .and_then(|file| {
+            let mut out = std::io::BufWriter::new(file);
+            report.layout.gds.write_to(&mut out)?;
+            out.flush()
+        })
+        .map_err(|e| format!("cannot write `{gds_path}`: {e}"))?;
+    if let Some(svg_path) = &options.svg {
+        write_file(
+            svg_path,
+            render_svg(&report.placement.design, &report.routing, &SvgOptions::default()),
+        )?;
+    }
+
+    outln!("{}", report.summary());
+    if !options.quiet {
+        let energy = EnergyModel::default();
+        let timings = report.stage_timings;
+        outln!("placer            : {}", report.placement.placer);
+        outln!("clock phases      : {}", report.synthesis_stats.delay);
+        outln!("JJs after routing : {}", report.jj_after_routing());
+        outln!(
+            "energy estimate   : {:.1} aJ/cycle ({:.2} nW at 5 GHz)",
+            report.cycle_energy_aj(&energy),
+            report.average_power_nw(&energy, aqfp_cells::FourPhaseClock::PAPER_DEFAULT),
+        );
+        outln!(
+            "stage timings     : synth {:.2}s / place {:.2}s / route {:.2}s / check {:.2}s",
+            timings.synthesis_s,
+            timings.placement_s,
+            timings.routing_s,
+            timings.check_s,
+        );
+        if let Some(path) = &options.report {
+            outln!("report written to : {path}");
+        }
+        outln!("GDS written to    : {gds_path}");
+        if let Some(svg_path) = &options.svg {
+            outln!("SVG written to    : {svg_path}");
+        }
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
 // ---------------------------------------------------------------------------
-// `superflow batch` subcommand
+// `superflow batch` and `superflow generate`
 // ---------------------------------------------------------------------------
 
-#[derive(Debug)]
-struct BatchCliOptions {
-    inputs: Vec<String>,
-    placer: PlacerKind,
-    tech: Option<String>,
-    threads: Option<usize>,
-    workers: usize,
-    stage_timeout_s: Option<f64>,
-    predict: bool,
-    retry: bool,
-    journal: Option<String>,
-    output_dir: Option<String>,
-    report: Option<String>,
-    faults: Vec<Fault>,
-    fast: bool,
-    verify: bool,
-    fanout_threshold: Option<usize>,
-    quiet: bool,
-}
-
-fn parse_batch_args(args: &[String]) -> Result<BatchCliOptions, String> {
-    let mut options = BatchCliOptions {
-        inputs: Vec::new(),
-        placer: PlacerKind::SuperFlow,
-        tech: None,
-        threads: None,
-        workers: 0,
-        stage_timeout_s: None,
-        predict: true,
-        retry: true,
-        journal: None,
-        output_dir: None,
-        report: None,
-        faults: Vec::new(),
-        fast: false,
-        verify: false,
-        fanout_threshold: None,
-        quiet: false,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--placer" => {
-                let value = iter.next().ok_or("--placer needs a value")?;
-                options.placer = match value.as_str() {
-                    "superflow" => PlacerKind::SuperFlow,
-                    "gordian" => PlacerKind::GordianBased,
-                    "taas" => PlacerKind::Taas,
-                    other => return Err(format!("unknown placer `{other}`")),
-                };
-            }
-            "--tech" => {
-                let value = iter.next().ok_or("--tech needs a value")?;
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
-                }
-                options.tech = Some(value.clone());
-            }
-            "--process" => {
-                let value = iter.next().ok_or("--process needs a value")?;
-                let name = match value.as_str() {
-                    "mit-ll" | "mitll" => aqfp_cells::MIT_LL_SQF5EE,
-                    "stp2" => aqfp_cells::AIST_STP2,
-                    other => return Err(format!("unknown process `{other}`")),
-                };
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
-                }
-                options.tech = Some(name.to_owned());
-            }
-            "--threads" => {
-                let value = iter.next().ok_or("--threads needs a value")?;
-                options.threads = Some(
-                    value
-                        .parse::<usize>()
-                        .map_err(|_| format!("--threads needs a number, got `{value}`"))?,
-                );
-            }
-            "--workers" => {
-                let value = iter.next().ok_or("--workers needs a value")?;
-                options.workers = value
-                    .parse::<usize>()
-                    .map_err(|_| format!("--workers needs a number, got `{value}`"))?;
-            }
-            "--stage-timeout" => {
-                let value = iter.next().ok_or("--stage-timeout needs a value")?;
-                let seconds = value.parse::<f64>().map_err(|_| {
-                    format!("--stage-timeout needs a number of seconds, got `{value}`")
-                })?;
-                if !seconds.is_finite() || seconds < 0.0 {
-                    return Err(format!(
-                        "--stage-timeout needs a non-negative finite number, got `{value}`"
-                    ));
-                }
-                options.stage_timeout_s = Some(seconds);
-            }
-            "--no-predict" => options.predict = false,
-            "--no-retry" => options.retry = false,
-            "--journal" => {
-                options.journal = Some(iter.next().ok_or("--journal needs a value")?.clone())
-            }
-            "--output-dir" => {
-                options.output_dir = Some(iter.next().ok_or("--output-dir needs a value")?.clone())
-            }
-            "--report" => {
-                options.report = Some(iter.next().ok_or("--report needs a value")?.clone())
-            }
-            "--fault" => {
-                let value = iter.next().ok_or("--fault needs a value")?;
-                options.faults.push(Fault::parse(value)?);
-            }
-            "--fast" => options.fast = true,
-            "--verify" => options.verify = true,
-            "--fanout-threshold" => {
-                let value = iter.next().ok_or("--fanout-threshold needs a value")?;
-                options.fanout_threshold =
-                    Some(value.parse::<usize>().map_err(|_| {
-                        format!("--fanout-threshold needs a number, got `{value}`")
-                    })?);
-            }
-            "--quiet" => options.quiet = true,
-            "--help" | "-h" => return Err("help".to_owned()),
-            other if other.starts_with("--") => {
-                return Err(format!("unknown batch option `{other}`"))
-            }
-            other => options.inputs.push(other.to_owned()),
-        }
-    }
-    if options.inputs.is_empty() {
-        return Err("batch needs at least one input".to_owned());
-    }
-    let mut names: Vec<String> = Vec::new();
-    for input in &options.inputs {
-        let name = BatchJob::from_input(input).name;
-        if names.contains(&name) {
-            return Err(format!(
-                "two batch inputs reduce to the design name `{name}`; journals and GDS outputs \
-                 are keyed by name, so each design needs a distinct one"
-            ));
-        }
-        names.push(name);
-    }
-    Ok(options)
-}
-
-/// The batch configuration a `superflow batch` command line selects.
-fn build_batch_config(options: &BatchCliOptions) -> BatchConfig {
-    let flow = if options.fast { FlowConfig::fast() } else { FlowConfig::paper_default() };
-    let flow = match &options.tech {
-        Some(value) => flow.with_tech(tech_spec(value)),
-        None => flow,
-    };
-    let flow = flow.with_placer(options.placer);
-    let flow = match options.threads {
-        Some(threads) => flow.with_threads(threads),
-        None => flow,
-    };
-    let mut flow = if options.verify {
-        flow.with_verify(VerifyConfig { enabled: true, ..VerifyConfig::default() })
-    } else {
-        flow
-    };
-    if let Some(threshold) = options.fanout_threshold {
-        flow.lint.fanout_threshold = Some(threshold);
-    }
-    let mut config = BatchConfig::new(flow)
-        .with_workers(options.workers)
-        .with_retry_degraded(options.retry)
-        .with_predict(options.predict)
-        .with_faults(FaultPlan { faults: options.faults.clone() });
-    if let Some(seconds) = options.stage_timeout_s {
-        config = config.with_stage_timeout_s(seconds);
-    }
-    if let Some(dir) = &options.journal {
-        config = config.with_journal_dir(dir);
-    }
-    if let Some(dir) = &options.output_dir {
-        config = config.with_output_dir(dir);
-    }
-    config
-}
-
-fn run_batch_cli(args: &[String]) -> ExitCode {
-    let options = match parse_batch_args(args) {
-        Ok(options) => options,
-        Err(message) => {
-            if message == "help" {
-                println!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {message}\n{}", usage());
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
+fn run_batch_cli(options: &BatchOptions) -> Result<ExitCode, String> {
     let jobs: Vec<BatchJob> = options.inputs.iter().map(BatchJob::from_input).collect();
-    let runner = BatchRunner::new(build_batch_config(&options));
-    let report = match runner.run(&jobs) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("error: {}", error_chain(&e));
-            return ExitCode::FAILURE;
-        }
-    };
+    let runner = BatchRunner::new(options.config.clone());
+    let report = runner.run(&jobs).map_err(|e| error_chain(&e))?;
     if options.quiet {
         // First line of the render is the one-line summary.
-        println!("{}", report.render().lines().next().unwrap_or_default());
+        outln!("{}", report.render().lines().next().unwrap_or_default());
     } else {
-        print!("{}", report.render());
+        out!("{}", report.render());
     }
     if let Some(path) = &options.report {
-        let json = match report.to_json() {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("error: {}", error_chain(&e));
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("error: cannot write `{path}`: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file(path, report.to_json().map_err(|e| error_chain(&e))?)?;
         if !options.quiet {
-            println!("batch report written to {path}");
+            outln!("batch report written to {path}");
         }
     }
-    if report.failed() > 0 {
-        ExitCode::from(EXIT_PARTIAL_FAILURE)
-    } else {
-        ExitCode::SUCCESS
+    Ok(if report.failed() > 0 { ExitCode::from(EXIT_PARTIAL_FAILURE) } else { ExitCode::SUCCESS })
+}
+
+fn run_generate_cli(options: &GenerateOptions) -> Result<ExitCode, String> {
+    let netlist = options.family.by_cells(options.cells, options.seed);
+    match &options.output {
+        Some(path) => {
+            let text = if path.ends_with(".blif") {
+                aqfp_netlist::writers::to_blif(&netlist)
+            } else {
+                aqfp_netlist::writers::to_verilog(&netlist)
+            };
+            write_file(path, text)?;
+            outln!(
+                "generated {}: {} gates / {} inputs / {} outputs, written to {path}",
+                netlist.name(),
+                netlist.cell_count(),
+                netlist.primary_inputs().len(),
+                netlist.primary_outputs().len(),
+            );
+        }
+        None => out!("{}", aqfp_netlist::writers::to_verilog(&netlist)),
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 // ---------------------------------------------------------------------------
-// `superflow lint` subcommand
+// The report commands: `superflow lint`, `predict` and `verify`
 // ---------------------------------------------------------------------------
 
-#[derive(Debug)]
-struct LintCliOptions {
-    inputs: Vec<String>,
-    tech: Option<String>,
-    json: bool,
-    lint: LintConfig,
-    rules: bool,
+/// What the report runner needs from a lint, predict or verify report.
+trait CliReport: serde::Serialize {
+    fn render(&self) -> String;
+    fn has_errors(&self) -> bool;
 }
 
-fn parse_lint_args(args: &[String]) -> Result<LintCliOptions, String> {
-    let mut options = LintCliOptions {
-        inputs: Vec::new(),
-        tech: None,
-        json: false,
-        lint: LintConfig::default(),
-        rules: false,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--tech" => {
-                let value = iter.next().ok_or("--tech needs a value")?;
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
-                }
-                options.tech = Some(value.clone());
+macro_rules! cli_report {
+    ($($report:ty),*) => {$(
+        impl CliReport for $report {
+            fn render(&self) -> String {
+                <$report>::render(self)
             }
-            "--process" => {
-                let value = iter.next().ok_or("--process needs a value")?;
-                let name = match value.as_str() {
-                    "mit-ll" | "mitll" => aqfp_cells::MIT_LL_SQF5EE,
-                    "stp2" => aqfp_cells::AIST_STP2,
-                    other => return Err(format!("unknown process `{other}`")),
-                };
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
-                }
-                options.tech = Some(name.to_owned());
+            fn has_errors(&self) -> bool {
+                <$report>::has_errors(self)
             }
-            "--format" => {
-                let value = iter.next().ok_or("--format needs a value")?;
-                options.json = match value.as_str() {
-                    "json" => true,
-                    "text" => false,
-                    other => return Err(format!("unknown lint format `{other}`")),
-                };
-            }
-            "--deny" => {
-                options.lint.deny.push(iter.next().ok_or("--deny needs a rule id")?.clone())
-            }
-            "--warn" => {
-                options.lint.warn.push(iter.next().ok_or("--warn needs a rule id")?.clone())
-            }
-            "--allow" => {
-                options.lint.allow.push(iter.next().ok_or("--allow needs a rule id")?.clone())
-            }
-            "--fanout-threshold" => {
-                let value = iter.next().ok_or("--fanout-threshold needs a value")?;
-                options.lint.fanout_threshold =
-                    Some(value.parse::<usize>().map_err(|_| {
-                        format!("--fanout-threshold needs a number, got `{value}`")
-                    })?);
-            }
-            "--rules" => options.rules = true,
-            "--help" | "-h" => return Err("help".to_owned()),
-            other if other.starts_with("--") => {
-                return Err(format!("unknown lint option `{other}`"))
-            }
-            other => options.inputs.push(other.to_owned()),
         }
-    }
-    if options.inputs.is_empty() && !options.rules {
-        return Err("lint needs at least one input (or --rules)".to_owned());
-    }
-    Ok(options)
+    )*};
 }
 
-/// The rule catalog table `superflow lint --rules` prints.
-fn render_rule_catalog() -> String {
+cli_report!(LintReport, PredictReport, VerifyReport);
+
+/// The rule catalog table `--rules` prints.
+fn render_catalog(catalog: &[RuleInfo]) -> String {
     let mut out = String::from("rule       default  summary\n");
-    for info in superflow::lint::catalog() {
+    for info in catalog {
         out.push_str(&format!("{:<10} {:<8} {}\n", info.id, info.severity.keyword(), info.summary));
     }
     out.trim_end().to_owned()
 }
 
-fn run_lint_cli(args: &[String]) -> ExitCode {
-    let options = match parse_lint_args(args) {
-        Ok(options) => options,
-        Err(message) => {
-            if message == "help" {
-                println!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {message}\n{}", usage());
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
+/// The runner behind lint, predict and verify. `--rules` prints `catalog`;
+/// otherwise `setup` yields the per-input check, each input's report is
+/// printed as text or JSON, and the command exits 1 when any input has
+/// error-severity findings or fails to load.
+fn run_reports<R: CliReport, F: FnMut(&str) -> Result<R, String>>(
+    options: &ReportOptions,
+    catalog: fn() -> Vec<RuleInfo>,
+    setup: impl FnOnce() -> Result<F, String>,
+) -> Result<ExitCode, String> {
     if options.rules {
-        println!("{}", render_rule_catalog());
-        return ExitCode::SUCCESS;
+        outln!("{}", render_catalog(&catalog()));
+        return Ok(ExitCode::SUCCESS);
     }
-    let flow = match &options.tech {
-        Some(value) => FlowConfig::paper_default().with_tech(tech_spec(value)),
-        None => FlowConfig::paper_default(),
-    }
-    .with_lint(options.lint);
-    let technology = match flow.resolve_technology() {
-        Ok(technology) => technology,
-        Err(e) => {
-            eprintln!("error: {}", error_chain(&e));
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut check = setup()?;
     let mut reports = Vec::new();
     let mut failed = false;
     for input in &options.inputs {
-        // Lenient loading: undriven nets become AQFP-E002 findings with
-        // their source spans instead of a parse error at the first one.
-        match superflow::load_design(input) {
-            Ok(design) => {
-                let name = superflow::input::design_name(input);
-                // The shared pre-flight gate: structural lint rules plus
-                // the predictive AQFP-P0xx feasibility rules.
-                let report = superflow::lint_design(&name, &design.netlist, &technology, &flow);
-                failed |= report.has_errors();
-                reports.push(report);
-            }
-            Err(e) => {
-                failed = true;
-                eprintln!("error: `{input}`: {}", error_chain(&e));
-            }
-        }
-    }
-    if options.json {
-        match serde_json::to_string_pretty(&reports) {
-            Ok(json) => println!("{json}"),
-            Err(e) => {
-                eprintln!("error: cannot serialize lint reports: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        for report in &reports {
-            print!("{}", report.render());
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-// ---------------------------------------------------------------------------
-// `superflow predict` subcommand
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct PredictCliOptions {
-    inputs: Vec<String>,
-    tech: Option<String>,
-    json: bool,
-    lint: LintConfig,
-    rules: bool,
-}
-
-fn parse_predict_args(args: &[String]) -> Result<PredictCliOptions, String> {
-    let mut options = PredictCliOptions {
-        inputs: Vec::new(),
-        tech: None,
-        json: false,
-        lint: LintConfig::default(),
-        rules: false,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--tech" => {
-                let value = iter.next().ok_or("--tech needs a value")?;
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
-                }
-                options.tech = Some(value.clone());
-            }
-            "--process" => {
-                let value = iter.next().ok_or("--process needs a value")?;
-                let name = match value.as_str() {
-                    "mit-ll" | "mitll" => aqfp_cells::MIT_LL_SQF5EE,
-                    "stp2" => aqfp_cells::AIST_STP2,
-                    other => return Err(format!("unknown process `{other}`")),
-                };
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
-                }
-                options.tech = Some(name.to_owned());
-            }
-            "--format" => {
-                let value = iter.next().ok_or("--format needs a value")?;
-                options.json = match value.as_str() {
-                    "json" => true,
-                    "text" => false,
-                    other => return Err(format!("unknown predict format `{other}`")),
-                };
-            }
-            "--deny" => {
-                options.lint.deny.push(iter.next().ok_or("--deny needs a rule id")?.clone())
-            }
-            "--warn" => {
-                options.lint.warn.push(iter.next().ok_or("--warn needs a rule id")?.clone())
-            }
-            "--allow" => {
-                options.lint.allow.push(iter.next().ok_or("--allow needs a rule id")?.clone())
-            }
-            "--rules" => options.rules = true,
-            "--help" | "-h" => return Err("help".to_owned()),
-            other if other.starts_with("--") => {
-                return Err(format!("unknown predict option `{other}`"))
-            }
-            other => options.inputs.push(other.to_owned()),
-        }
-    }
-    if options.inputs.is_empty() && !options.rules {
-        return Err("predict needs at least one input (or --rules)".to_owned());
-    }
-    Ok(options)
-}
-
-/// The rule catalog table `superflow predict --rules` prints.
-fn render_predict_rule_catalog() -> String {
-    let mut out = String::from("rule       default  summary\n");
-    for info in superflow::predict::catalog() {
-        out.push_str(&format!("{:<10} {:<8} {}\n", info.id, info.severity.keyword(), info.summary));
-    }
-    out.trim_end().to_owned()
-}
-
-/// Runs the predictive analysis on one input: the design loads leniently
-/// (so a netlist with undriven nets still gets its feasibility forecast),
-/// and the prediction itself never runs a stage engine.
-fn predict_one(
-    input: &str,
-    technology: &Technology,
-    flow: &FlowConfig,
-) -> Result<superflow::PredictReport, String> {
-    let design = superflow::load_design(input).map_err(|e| error_chain(&e))?;
-    let name = superflow::input::design_name(input);
-    Ok(superflow::predict::predict(&name, &design.netlist, technology, &flow.predict_options()))
-}
-
-fn run_predict_cli(args: &[String]) -> ExitCode {
-    let options = match parse_predict_args(args) {
-        Ok(options) => options,
-        Err(message) => {
-            if message == "help" {
-                println!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {message}\n{}", usage());
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-    if options.rules {
-        println!("{}", render_predict_rule_catalog());
-        return ExitCode::SUCCESS;
-    }
-    let flow = match &options.tech {
-        Some(value) => FlowConfig::paper_default().with_tech(tech_spec(value)),
-        None => FlowConfig::paper_default(),
-    }
-    .with_lint(options.lint);
-    let technology = match flow.resolve_technology() {
-        Ok(technology) => technology,
-        Err(e) => {
-            eprintln!("error: {}", error_chain(&e));
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut reports = Vec::new();
-    let mut failed = false;
-    for input in &options.inputs {
-        match predict_one(input, &technology, &flow) {
+        match check(input) {
             Ok(report) => {
                 failed |= report.has_errors();
                 reports.push(report);
@@ -1013,140 +1040,38 @@ fn run_predict_cli(args: &[String]) -> ExitCode {
         }
     }
     if options.json {
-        match serde_json::to_string_pretty(&reports) {
-            Ok(json) => println!("{json}"),
-            Err(e) => {
-                eprintln!("error: cannot serialize predict reports: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let json = serde_json::to_string_pretty(&reports)
+            .map_err(|e| format!("cannot serialize reports: {e}"))?;
+        outln!("{json}");
     } else {
         for report in &reports {
-            print!("{}", report.render());
+            out!("{}", report.render());
         }
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
-// ---------------------------------------------------------------------------
-// `superflow verify` subcommand
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct VerifyCliOptions {
-    inputs: Vec<String>,
-    tech: Option<String>,
-    threads: Option<usize>,
-    fast: bool,
-    json: bool,
-    against: Option<String>,
-    inject: Option<Defect>,
-    rules: bool,
+/// Lints one input: the design loads leniently (undriven nets become
+/// AQFP-E002 findings with their source spans instead of a parse error at
+/// the first one) and goes through the shared pre-flight gate — the
+/// structural lint rules plus the predictive AQFP-P0xx feasibility rules.
+fn lint_one(input: &str, technology: &Technology, flow: &FlowConfig) -> Result<LintReport, String> {
+    let design = superflow::load_design(input).map_err(|e| error_chain(&e))?;
+    let name = superflow::input::design_name(input);
+    Ok(superflow::lint_design(&name, &design.netlist, technology, flow))
 }
 
-fn parse_verify_args(args: &[String]) -> Result<VerifyCliOptions, String> {
-    let mut options = VerifyCliOptions {
-        inputs: Vec::new(),
-        tech: None,
-        threads: None,
-        fast: false,
-        json: false,
-        against: None,
-        inject: None,
-        rules: false,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--tech" => {
-                let value = iter.next().ok_or("--tech needs a value")?;
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
-                }
-                options.tech = Some(value.clone());
-            }
-            "--process" => {
-                let value = iter.next().ok_or("--process needs a value")?;
-                let name = match value.as_str() {
-                    "mit-ll" | "mitll" => aqfp_cells::MIT_LL_SQF5EE,
-                    "stp2" => aqfp_cells::AIST_STP2,
-                    other => return Err(format!("unknown process `{other}`")),
-                };
-                if options.tech.is_some() {
-                    return Err("--tech/--process given more than once".to_owned());
-                }
-                options.tech = Some(name.to_owned());
-            }
-            "--threads" => {
-                let value = iter.next().ok_or("--threads needs a value")?;
-                options.threads = Some(
-                    value
-                        .parse::<usize>()
-                        .map_err(|_| format!("--threads needs a number, got `{value}`"))?,
-                );
-            }
-            "--fast" => options.fast = true,
-            "--format" => {
-                let value = iter.next().ok_or("--format needs a value")?;
-                options.json = match value.as_str() {
-                    "json" => true,
-                    "text" => false,
-                    other => return Err(format!("unknown verify format `{other}`")),
-                };
-            }
-            "--against" => {
-                let value = iter.next().ok_or("--against needs a value")?;
-                if options.against.is_some() {
-                    return Err("--against given more than once".to_owned());
-                }
-                options.against = Some(value.clone());
-            }
-            "--inject-defect" => {
-                let value = iter.next().ok_or("--inject-defect needs a value")?;
-                options.inject = Some(Defect::parse(value).ok_or_else(|| {
-                    format!("unknown defect `{value}` (available: wire, cell, phase)")
-                })?);
-            }
-            "--rules" => options.rules = true,
-            "--help" | "-h" => return Err("help".to_owned()),
-            other if other.starts_with("--") => {
-                return Err(format!("unknown verify option `{other}`"))
-            }
-            other => options.inputs.push(other.to_owned()),
-        }
-    }
-    if options.inputs.is_empty() && !options.rules {
-        return Err("verify needs at least one artifact (or --rules)".to_owned());
-    }
-    Ok(options)
-}
-
-/// The rule catalog table `superflow verify --rules` prints.
-fn render_verify_rule_catalog() -> String {
-    let mut out = String::from("rule       default  summary\n");
-    for info in superflow::verify::catalog() {
-        out.push_str(&format!("{:<10} {:<8} {}\n", info.id, info.severity.keyword(), info.summary));
-    }
-    out.trim_end().to_owned()
-}
-
-/// The flow configuration a `superflow verify` command line re-derives
-/// artifacts under. The per-stage verify gates stay off: the subcommand
-/// runs the verifiers itself, on the final artifacts.
-fn build_verify_config(options: &VerifyCliOptions) -> FlowConfig {
-    let config = if options.fast { FlowConfig::fast() } else { FlowConfig::paper_default() };
-    let config = match &options.tech {
-        Some(value) => config.with_tech(tech_spec(value)),
-        None => config,
-    };
-    match options.threads {
-        Some(threads) => config.with_threads(threads),
-        None => config,
-    }
+/// Runs the predictive analysis on one input: the design loads leniently
+/// (so a netlist with undriven nets still gets its feasibility forecast),
+/// and the prediction itself never runs a stage engine.
+fn predict_one(
+    input: &str,
+    technology: &Technology,
+    flow: &FlowConfig,
+) -> Result<PredictReport, String> {
+    let design = superflow::load_design(input).map_err(|e| error_chain(&e))?;
+    let name = superflow::input::design_name(input);
+    Ok(superflow::predict::predict(&name, &design.netlist, technology, &flow.predict_options()))
 }
 
 /// Fails verification up front when an artifact was produced under a
@@ -1168,10 +1093,15 @@ fn ensure_artifact_technology(
     }
 }
 
-/// Injects one deliberate defect into a routed (or later) artifact, so a
-/// subsequent verification run must report it. Returns a human-readable
-/// description of what was damaged.
-fn inject_routed_defect(defect: Defect, routed: &mut Routed) -> Result<String, String> {
+/// Applies `--inject-defect` (when given) to a routed (or later) artifact,
+/// so the verification run that follows must report it, and notes on
+/// stderr what was damaged.
+fn inject_routed_defect(
+    options: &ReportOptions,
+    routed: &mut Routed,
+    input: &str,
+) -> Result<(), String> {
+    let Some(defect) = options.inject else { return Ok(()) };
     let note = match defect {
         Defect::Phase => mutate::corrupt_design_phase(&mut routed.placed.placement.design)
             .map(|net| format!("repointed a sink of net n{net} two phases past its driver")),
@@ -1180,7 +1110,10 @@ fn inject_routed_defect(defect: Defect, routed: &mut Routed) -> Result<String, S
         Defect::Wire => mutate::corrupt_routing(&mut routed.routing)
             .map(|net| format!("dropped one routed segment of net n{net}")),
     };
-    note.ok_or_else(|| format!("the design is too small to inject a {} defect", defect.name()))
+    let note = note
+        .ok_or_else(|| format!("the design is too small to inject a {} defect", defect.name()))?;
+    eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());
+    Ok(())
 }
 
 /// Resolves the original input netlist for LEC: `--against` when given,
@@ -1188,7 +1121,7 @@ fn inject_routed_defect(defect: Defect, routed: &mut Routed) -> Result<String, S
 /// for generated or file-based designs). `required` turns an unresolvable
 /// input into an error instead of a skipped check.
 fn lec_input(
-    options: &VerifyCliOptions,
+    options: &ReportOptions,
     design_name: &str,
     required: bool,
 ) -> Result<Option<Netlist>, String> {
@@ -1210,7 +1143,7 @@ fn lec_input(
 /// comparison of the committed bytes against the re-derived design.
 fn verify_gds_input(
     input: &str,
-    options: &VerifyCliOptions,
+    options: &ReportOptions,
     config: &FlowConfig,
 ) -> Result<VerifyReport, String> {
     let bytes = std::fs::read(input).map_err(|e| format!("cannot read `{input}`: {e}"))?;
@@ -1229,10 +1162,7 @@ fn verify_gds_input(
     let placed = session.place(synthesized).map_err(|e| error_chain(&e))?;
     let routed = session.route(placed).map_err(|e| error_chain(&e))?;
     let mut checked = session.check(routed).map_err(|e| error_chain(&e))?;
-    if let Some(defect) = options.inject {
-        let note = inject_routed_defect(defect, &mut checked.routed)?;
-        eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());
-    }
+    inject_routed_defect(options, &mut checked.routed, input)?;
     let mut report = session.verify_synthesized(&netlist, &checked.routed.placed.synthesized);
     report.merge(session.verify_routed(&checked.routed));
     report.record_check("lvs");
@@ -1252,64 +1182,46 @@ fn verify_gds_input(
 /// artifacts (which embed their layout).
 fn verify_checkpoint_input(
     input: &str,
-    options: &VerifyCliOptions,
+    options: &ReportOptions,
     config: &FlowConfig,
 ) -> Result<VerifyReport, String> {
     let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read `{input}`: {e}"))?;
     let flow = Flow::with_config(config.clone());
     let session = flow.session().map_err(|e| error_chain(&e))?;
+    // Adds LEC against the original input when it resolves.
+    let with_lec = |mut report: VerifyReport, synthesized: &Synthesized| {
+        if let Some(netlist) = lec_input(options, &synthesized.design_name, false)? {
+            report.merge(session.verify_synthesized(&netlist, synthesized));
+        }
+        Ok::<_, String>(report)
+    };
 
-    if let Ok(mut checked) = Checked::from_json(&text) {
+    let mut report = if let Ok(mut checked) = Checked::from_json(&text) {
         ensure_artifact_technology(&session, checked.tech_fingerprint(), input)?;
-        if let Some(defect) = options.inject {
-            let note = inject_routed_defect(defect, &mut checked.routed)?;
-            eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());
-        }
-        let mut report = session.verify_checked(&checked);
-        let name = checked.routed.placed.synthesized.design_name.clone();
-        if let Some(netlist) = lec_input(options, &name, false)? {
-            report.merge(session.verify_synthesized(&netlist, &checked.routed.placed.synthesized));
-        }
-        report.normalize();
-        return Ok(report);
-    }
-    if let Ok(mut routed) = Routed::from_json(&text) {
+        inject_routed_defect(options, &mut checked.routed, input)?;
+        with_lec(session.verify_checked(&checked), &checked.routed.placed.synthesized)?
+    } else if let Ok(mut routed) = Routed::from_json(&text) {
         ensure_artifact_technology(&session, routed.tech_fingerprint(), input)?;
-        if let Some(defect) = options.inject {
-            let note = inject_routed_defect(defect, &mut routed)?;
-            eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());
-        }
-        let mut report = session.verify_routed(&routed);
-        if let Some(netlist) = lec_input(options, &routed.placed.synthesized.design_name, false)? {
-            report.merge(session.verify_synthesized(&netlist, &routed.placed.synthesized));
-        }
-        report.normalize();
-        return Ok(report);
-    }
-    if let Ok(mut placed) = Placed::from_json(&text) {
+        inject_routed_defect(options, &mut routed, input)?;
+        with_lec(session.verify_routed(&routed), &routed.placed.synthesized)?
+    } else if let Ok(mut placed) = Placed::from_json(&text) {
         ensure_artifact_technology(&session, placed.tech_fingerprint(), input)?;
         if let Some(defect) = options.inject {
-            let note = match defect {
-                Defect::Phase => mutate::corrupt_design_phase(&mut placed.placement.design)
-                    .map(|net| format!("repointed a sink of net n{net} two phases past its driver"))
-                    .ok_or_else(|| "the design is too small to inject a phase defect".to_owned())?,
-                other => {
-                    return Err(format!(
-                        "--inject-defect {} needs a routed artifact; `{input}` stops at placement",
-                        other.name()
-                    ))
-                }
-            };
-            eprintln!("note: injected {} defect into `{input}`: {note}", defect.name());
+            if defect != Defect::Phase {
+                return Err(format!(
+                    "--inject-defect {} needs a routed artifact; `{input}` stops at placement",
+                    defect.name()
+                ));
+            }
+            let net = mutate::corrupt_design_phase(&mut placed.placement.design)
+                .ok_or_else(|| "the design is too small to inject a phase defect".to_owned())?;
+            eprintln!(
+                "note: injected phase defect into `{input}`: repointed a sink of net n{net} two \
+                 phases past its driver"
+            );
         }
-        let mut report = session.verify_placed(&placed);
-        if let Some(netlist) = lec_input(options, &placed.synthesized.design_name, false)? {
-            report.merge(session.verify_synthesized(&netlist, &placed.synthesized));
-        }
-        report.normalize();
-        return Ok(report);
-    }
-    if let Ok(synthesized) = Synthesized::from_json(&text) {
+        with_lec(session.verify_placed(&placed), &placed.synthesized)?
+    } else if let Ok(synthesized) = Synthesized::from_json(&text) {
         ensure_artifact_technology(&session, &synthesized.tech_fingerprint, input)?;
         if let Some(defect) = options.inject {
             return Err(format!(
@@ -1323,20 +1235,22 @@ fn verify_checkpoint_input(
         let Some(netlist) = lec_input(options, &synthesized.design_name, true)? else {
             unreachable!("required lec_input returns Some or errors")
         };
-        let mut report = session.verify_synthesized(&netlist, &synthesized);
-        report.normalize();
-        return Ok(report);
-    }
-    Err(format!(
-        "`{input}` is not a stage checkpoint this version can read (expected the JSON written \
-         by --stop-after/--journal for the synthesis, placement, routing or check stage)"
-    ))
+        session.verify_synthesized(&netlist, &synthesized)
+    } else {
+        return Err(format!(
+            "`{input}` is not a stage checkpoint this version can read (expected the JSON \
+             written by --stop-after/--journal for the synthesis, placement, routing or check \
+             stage)"
+        ));
+    };
+    report.normalize();
+    Ok(report)
 }
 
 /// Dispatches one verify input on its extension.
 fn verify_one(
     input: &str,
-    options: &VerifyCliOptions,
+    options: &ReportOptions,
     config: &FlowConfig,
 ) -> Result<VerifyReport, String> {
     if input.ends_with(".gds") {
@@ -1345,57 +1259,6 @@ fn verify_one(
         verify_checkpoint_input(input, options, config)
     } else {
         Err(format!("verify inputs are .gds layouts or .json stage checkpoints, got `{input}`"))
-    }
-}
-
-fn run_verify_cli(args: &[String]) -> ExitCode {
-    let options = match parse_verify_args(args) {
-        Ok(options) => options,
-        Err(message) => {
-            if message == "help" {
-                println!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {message}\n{}", usage());
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-    if options.rules {
-        println!("{}", render_verify_rule_catalog());
-        return ExitCode::SUCCESS;
-    }
-    let config = build_verify_config(&options);
-    let mut reports = Vec::new();
-    let mut failed = false;
-    for input in &options.inputs {
-        match verify_one(input, &options, &config) {
-            Ok(report) => {
-                failed |= report.has_errors();
-                reports.push(report);
-            }
-            Err(message) => {
-                failed = true;
-                eprintln!("error: `{input}`: {message}");
-            }
-        }
-    }
-    if options.json {
-        match serde_json::to_string_pretty(&reports) {
-            Ok(json) => println!("{json}"),
-            Err(e) => {
-                eprintln!("error: cannot serialize verify reports: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        for report in &reports {
-            print!("{}", report.render());
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
 }
 
@@ -1412,15 +1275,6 @@ fn dump_header(technology: &Technology) -> String {
          # loading re-validates every field.\n",
         technology.name
     )
-}
-
-/// Resolves a `tech show` target: a registry name or a technology file
-/// (the same dispatch `--tech` uses, so the two can never diverge).
-fn resolve_tech_target(target: &str) -> Result<Technology, String> {
-    match tech_spec(target).resolve() {
-        Ok(technology) => Ok((*technology).clone()),
-        Err(e) => Err(e.to_string()),
-    }
 }
 
 /// A multi-line human-readable summary of a technology.
@@ -1462,116 +1316,13 @@ fn tech_summary(technology: &Technology) -> String {
     )
 }
 
-#[derive(Debug)]
-struct GenerateCliOptions {
-    family: LargeFamily,
-    cells: usize,
-    seed: u64,
-    output: Option<String>,
-}
-
-fn parse_generate_args(args: &[String]) -> Result<GenerateCliOptions, String> {
-    let mut family = None;
-    let mut cells = 10_000usize;
-    let mut seed = 0u64;
-    let mut output = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--cells" => {
-                let value = iter.next().ok_or("--cells needs a value")?;
-                cells = value
-                    .parse::<usize>()
-                    .map_err(|_| format!("--cells needs a number, got `{value}`"))?;
-            }
-            "--seed" => {
-                let value = iter.next().ok_or("--seed needs a value")?;
-                seed = value
-                    .parse::<u64>()
-                    .map_err(|_| format!("--seed needs a number, got `{value}`"))?;
-            }
-            "--output" | "-o" => {
-                let value = iter.next().ok_or("--output needs a value")?;
-                if output.is_some() {
-                    return Err("--output given more than once".to_owned());
-                }
-                output = Some(value.clone());
-            }
-            "--help" | "-h" => return Err("help".to_owned()),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown generate option `{other}`"))
-            }
-            other => {
-                if family.is_some() {
-                    return Err("generate takes exactly one family".to_owned());
-                }
-                family = Some(LargeFamily::parse(other).ok_or_else(|| {
-                    format!(
-                        "unknown generator family `{other}` (available: {})",
-                        LargeFamily::ALL.map(|f| f.name()).join(", ")
-                    )
-                })?);
-            }
-        }
-    }
-    let family = family.ok_or_else(|| {
-        format!(
-            "generate needs a family (available: {})",
-            LargeFamily::ALL.map(|f| f.name()).join(", ")
-        )
-    })?;
-    Ok(GenerateCliOptions { family, cells, seed, output })
-}
-
-fn run_generate_cli(args: &[String]) -> ExitCode {
-    let options = match parse_generate_args(args) {
-        Ok(options) => options,
-        Err(message) => {
-            if message == "help" {
-                println!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {message}\n{}", usage());
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-    let netlist = options.family.by_cells(options.cells, options.seed);
-    let blif = options.output.as_deref().is_some_and(|path| path.ends_with(".blif"));
-    let text = if blif {
-        aqfp_netlist::writers::to_blif(&netlist)
-    } else {
-        aqfp_netlist::writers::to_verilog(&netlist)
-    };
-    match &options.output {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("error: cannot write `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "generated {}: {} gates / {} inputs / {} outputs, written to {path}",
-                netlist.name(),
-                netlist.cell_count(),
-                netlist.primary_inputs().len(),
-                netlist.primary_outputs().len(),
-            );
-        }
-        None => print!("{text}"),
-    }
-    ExitCode::SUCCESS
-}
-
-fn run_tech_command(args: &[String]) -> Result<String, String> {
-    let command = args.first().map(String::as_str).ok_or_else(|| {
-        format!("tech subcommand needs an action: list, show or dump\n{}", usage())
-    })?;
+/// Runs a `tech` action, returning the text to print.
+fn run_tech(command: &TechCommand) -> Result<String, String> {
     match command {
-        "list" => {
-            let quiet = args[1..].iter().any(|a| a == "--quiet");
-            let registry = TechnologyRegistry::global();
+        TechCommand::List { quiet } => {
             let mut out = String::new();
-            for technology in registry.iter() {
-                if quiet {
+            for technology in TechnologyRegistry::global().iter() {
+                if *quiet {
                     out.push_str(&technology.name);
                     out.push('\n');
                 } else {
@@ -1580,16 +1331,15 @@ fn run_tech_command(args: &[String]) -> Result<String, String> {
             }
             Ok(out.trim_end().to_owned())
         }
-        "show" => {
-            let target = args.get(1).ok_or("tech show needs a technology name or file")?;
-            let technology = resolve_tech_target(target)?;
+        TechCommand::Show(target) => {
+            // The same dispatch `--tech` uses, so the two never diverge.
+            let technology = tech_spec(target).resolve().map_err(|e| e.to_string())?;
             // Files were validated by the loader; re-validate registry
             // entries too so `tech show` is always a full check.
             technology.validate().map_err(|e| format!("technology `{target}` invalid: {e}"))?;
             Ok(tech_summary(&technology))
         }
-        "dump" => {
-            let name = args.get(1).ok_or("tech dump needs a built-in technology name")?;
+        TechCommand::Dump { name, output } => {
             let technology = TechnologyRegistry::global().get(name).ok_or_else(|| {
                 format!(
                     "no built-in technology named `{name}` (available: {})",
@@ -1598,172 +1348,65 @@ fn run_tech_command(args: &[String]) -> Result<String, String> {
             })?;
             let body = technology.to_toml().map_err(|e| format!("cannot dump `{name}`: {e}"))?;
             let text = format!("{}{body}", dump_header(&technology));
-            let mut output = None;
-            let mut iter = args[2..].iter();
-            while let Some(arg) = iter.next() {
-                match arg.as_str() {
-                    "--output" => {
-                        output = Some(iter.next().ok_or("--output needs a value")?.clone())
-                    }
-                    other => return Err(format!("unknown tech dump option `{other}`")),
-                }
-            }
             match output {
                 Some(path) => {
-                    std::fs::write(&path, &text)
-                        .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+                    write_file(path, &text)?;
                     Ok(format!("technology `{name}` written to {path}"))
                 }
                 None => Ok(text.trim_end().to_owned()),
             }
         }
-        other => Err(format!("unknown tech subcommand `{other}`\n{}", usage())),
     }
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+#[cfg(test)]
+mod parse_helpers {
+    //! One test entry point per command, each parsing its command line
+    //! through [`parse_cli`] exactly as `main` does.
+    use super::*;
 
-    if args.first().map(String::as_str) == Some("batch") {
-        return run_batch_cli(&args[1..]);
+    fn parse(command: &[&str], list: &[&str]) -> Result<Command, String> {
+        let args: Vec<String> = command.iter().chain(list).map(|s| s.to_string()).collect();
+        parse_cli(&args)
     }
 
-    if args.first().map(String::as_str) == Some("lint") {
-        return run_lint_cli(&args[1..]);
-    }
-
-    if args.first().map(String::as_str) == Some("predict") {
-        return run_predict_cli(&args[1..]);
-    }
-
-    if args.first().map(String::as_str) == Some("verify") {
-        return run_verify_cli(&args[1..]);
-    }
-
-    if args.first().map(String::as_str) == Some("generate") {
-        return run_generate_cli(&args[1..]);
-    }
-
-    if args.first().map(String::as_str) == Some("tech") {
-        return match run_tech_command(&args[1..]) {
-            Ok(output) => {
-                println!("{output}");
-                ExitCode::SUCCESS
-            }
-            Err(message) => {
-                eprintln!("error: {message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let options = match parse_args(&args) {
-        Ok(options) => options,
-        Err(message) => {
-            if message == "help" {
-                println!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {message}\n{}", usage());
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-
-    let report = match run(&options) {
-        Ok(Outcome::Complete(report)) => report,
-        Ok(Outcome::Stopped { stage, summary, checkpoint }) => {
-            println!("{summary}");
-            match (&options.report, checkpoint) {
-                (Some(path), Some(json)) => {
-                    if let Err(e) = std::fs::write(path, json) {
-                        eprintln!("error: cannot write `{path}`: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    println!("stopped after {stage}; checkpoint written to {path}");
+    macro_rules! entry_point {
+        ($name:ident, [$($word:literal),*], $variant:ident, $options:ty) => {
+            pub(super) fn $name(list: &[&str]) -> Result<$options, String> {
+                match parse(&[$($word),*], list)? {
+                    Command::$variant(options) => Ok(options),
+                    other => panic!("parsed as {other:?}"),
                 }
-                _ => println!("stopped after {stage} (pass --report to keep a checkpoint)"),
-            }
-            return ExitCode::SUCCESS;
-        }
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if let Some(path) = &options.report {
-        let json = match serde_json::to_string_pretty(&*report) {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("error: cannot serialize report: {e}");
-                return ExitCode::FAILURE;
             }
         };
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("error: cannot write `{path}`: {e}");
-            return ExitCode::FAILURE;
-        }
     }
 
-    let gds_path = options.output.clone().unwrap_or_else(|| format!("{}.gds", report.design_name));
-    // Stream record by record through a BufWriter instead of materializing
-    // the byte image — at a million cells the image alone is tens of MB.
-    if let Err(e) = std::fs::File::create(&gds_path).and_then(|file| {
-        let mut out = std::io::BufWriter::new(file);
-        report.layout.gds.write_to(&mut out)?;
-        std::io::Write::flush(&mut out)
-    }) {
-        eprintln!("error: cannot write `{gds_path}`: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Some(svg_path) = &options.svg {
-        let svg = render_svg(&report.placement.design, &report.routing, &SvgOptions::default());
-        if let Err(e) = std::fs::write(svg_path, svg) {
-            eprintln!("error: cannot write `{svg_path}`: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    entry_point!(parse_flow, [], Flow, FlowOptions);
+    entry_point!(parse_batch, ["batch"], Batch, Box<BatchOptions>);
+    entry_point!(parse_lint, ["lint"], Lint, ReportOptions);
+    entry_point!(parse_predict, ["predict"], Predict, ReportOptions);
+    entry_point!(parse_verify, ["verify"], Verify, ReportOptions);
+    entry_point!(parse_generate, ["generate"], Generate, GenerateOptions);
 
-    println!("{}", report.summary());
-    if !options.quiet {
-        let energy = EnergyModel::default();
-        let timings = report.stage_timings;
-        println!("placer            : {}", report.placement.placer);
-        println!("clock phases      : {}", report.synthesis_stats.delay);
-        println!("JJs after routing : {}", report.jj_after_routing());
-        println!(
-            "energy estimate   : {:.1} aJ/cycle ({:.2} nW at 5 GHz)",
-            report.cycle_energy_aj(&energy),
-            report.average_power_nw(&energy, aqfp_cells::FourPhaseClock::PAPER_DEFAULT),
-        );
-        println!(
-            "stage timings     : synth {:.2}s / place {:.2}s / route {:.2}s / check {:.2}s",
-            timings.synthesis_s, timings.placement_s, timings.routing_s, timings.check_s,
-        );
-        if let Some(path) = &options.report {
-            println!("report written to : {path}");
-        }
-        println!("GDS written to    : {gds_path}");
-        if let Some(svg_path) = &options.svg {
-            println!("SVG written to    : {svg_path}");
+    /// Parses and runs a `tech` action.
+    pub(super) fn run_tech_command(list: &[&str]) -> Result<String, String> {
+        match parse(&["tech"], list)? {
+            Command::Tech(command) => run_tech(&command),
+            other => panic!("parsed as {other:?}"),
         }
     }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
+    use super::parse_helpers::*;
     use super::*;
     use aqfp_cells::{AIST_STP2, MIT_LL_SQF5EE};
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
-
     #[test]
     fn parses_a_full_command_line() {
-        let options = parse_args(&args(&[
+        let options = parse_flow(&[
             "--placer",
             "taas",
             "--tech",
@@ -1779,49 +1422,48 @@ mod tests {
             "--fast",
             "--quiet",
             "adder8",
-        ]))
+        ])
         .expect("parses");
-        assert_eq!(options.placer, PlacerKind::Taas);
-        assert_eq!(options.tech.as_deref(), Some("aist-stp2"));
-        assert_eq!(options.threads, Some(3));
+        assert_eq!(options.flow.placer, PlacerKind::Taas);
+        assert_eq!(options.flow.tech.as_deref(), Some("aist-stp2"));
+        assert_eq!(options.flow.threads, Some(3));
         assert_eq!(options.report.as_deref(), Some("out.json"));
         assert_eq!(options.output.as_deref(), Some("out.gds"));
         assert_eq!(options.svg.as_deref(), Some("out.svg"));
-        assert!(options.fast && options.quiet);
+        assert!(options.flow.fast && options.quiet);
         assert_eq!(options.input, "adder8");
         // --stop-after composes with --report (the checkpoint sink).
-        let stopped = parse_args(&args(&["--stop-after", "routing", "--report", "r.json", "a.v"]))
-            .expect("parses");
+        let stopped =
+            parse_flow(&["--stop-after", "routing", "--report", "r.json", "a.v"]).expect("parses");
         assert_eq!(stopped.stop_after, Some(FlowStage::Routing));
     }
 
     #[test]
     fn rejects_bad_arguments() {
-        assert!(parse_args(&args(&[])).is_err());
-        assert!(parse_args(&args(&["--placer"])).is_err());
-        assert!(parse_args(&args(&["--placer", "magic", "adder8"])).is_err());
-        assert!(parse_args(&args(&["--threads", "many", "adder8"])).is_err());
-        assert!(parse_args(&args(&["--stop-after", "teardown", "adder8"])).is_err());
-        assert!(parse_args(&args(&["--frobnicate", "adder8"])).is_err());
-        assert!(parse_args(&args(&["a.v", "b.v"])).is_err());
+        assert!(parse_flow(&[]).is_err());
+        assert!(parse_flow(&["--placer"]).is_err());
+        assert!(parse_flow(&["--placer", "magic", "adder8"]).is_err());
+        assert!(parse_flow(&["--threads", "many", "adder8"]).is_err());
+        assert!(parse_flow(&["--stop-after", "teardown", "adder8"]).is_err());
+        assert!(parse_flow(&["--frobnicate", "adder8"]).is_err());
+        assert!(parse_flow(&["a.v", "b.v"]).is_err());
         // --tech and --process both name the technology; passing both is a
         // contradiction.
-        assert!(parse_args(&args(&["--tech", "x.toml", "--process", "stp2", "adder8"])).is_err());
-        assert!(parse_args(&args(&["--process", "vaporware", "adder8"])).is_err());
+        assert!(parse_flow(&["--tech", "x.toml", "--process", "stp2", "adder8"]).is_err());
+        assert!(parse_flow(&["--process", "vaporware", "adder8"]).is_err());
         // --stop-after skips the layout outputs, so combining it with
         // --output/--svg is a contradiction, not a silent no-op.
-        let error = parse_args(&args(&["--stop-after", "route", "--output", "o.gds", "adder8"]))
+        let error = parse_flow(&["--stop-after", "route", "--output", "o.gds", "adder8"])
             .expect_err("contradictory flags");
         assert!(error.contains("--stop-after"), "unhelpful message: {error}");
-        assert!(parse_args(&args(&["--stop-after", "route", "--svg", "o.svg", "adder8"])).is_err());
+        assert!(parse_flow(&["--stop-after", "route", "--svg", "o.svg", "adder8"]).is_err());
     }
 
     #[test]
     fn config_builders_reflect_the_flags() {
-        let options =
-            parse_args(&args(&["--tech", "aist-stp2", "--threads", "2", "--fast", "adder8"]))
-                .expect("parses");
-        let config = build_config(&options);
+        let options = parse_flow(&["--tech", "aist-stp2", "--threads", "2", "--fast", "adder8"])
+            .expect("parses");
+        let config = options.flow.config();
         assert_eq!(config.tech, TechSpec::builtin(AIST_STP2));
         assert_eq!(config.threads(), 2);
         // --fast lowers the placement effort.
@@ -1830,11 +1472,11 @@ mod tests {
                 < FlowConfig::paper_default().placement.global.iterations
         );
         // The legacy --process alias reaches the same registry entries.
-        let legacy = parse_args(&args(&["--process", "stp2", "adder8"])).expect("parses");
-        assert_eq!(build_config(&legacy).tech, TechSpec::builtin(AIST_STP2));
+        let legacy = parse_flow(&["--process", "stp2", "adder8"]).expect("parses");
+        assert_eq!(legacy.flow.config().tech, TechSpec::builtin(AIST_STP2));
         // A non-registry value with an extension is treated as a file path.
-        let file = parse_args(&args(&["--tech", "custom.toml", "adder8"])).expect("parses");
-        assert_eq!(build_config(&file).tech, TechSpec::file("custom.toml"));
+        let file = parse_flow(&["--tech", "custom.toml", "adder8"]).expect("parses");
+        assert_eq!(file.flow.config().tech, TechSpec::file("custom.toml"));
         // The legacy --process names also work directly as --tech values...
         assert_eq!(tech_spec("mit-ll"), TechSpec::builtin(MIT_LL_SQF5EE));
         assert_eq!(tech_spec("stp2"), TechSpec::builtin(AIST_STP2));
@@ -1846,7 +1488,7 @@ mod tests {
 
     #[test]
     fn benchmark_names_resolve_without_touching_the_filesystem() {
-        let options = parse_args(&args(&["--fast", "--quiet", "adder8"])).expect("parses");
+        let options = parse_flow(&["--fast", "--quiet", "adder8"]).expect("parses");
         match run(&options).expect("flow runs") {
             Outcome::Complete(report) => assert_eq!(report.design_name, "adder8"),
             Outcome::Stopped { .. } => panic!("no --stop-after given"),
@@ -1855,7 +1497,7 @@ mod tests {
 
     #[test]
     fn stop_after_produces_a_resumable_checkpoint() {
-        let options = parse_args(&args(&[
+        let options = parse_flow(&[
             "--fast",
             "--quiet",
             "--stop-after",
@@ -1863,7 +1505,7 @@ mod tests {
             "--report",
             "unused.json",
             "adder8",
-        ]))
+        ])
         .expect("parses");
         match run(&options).expect("flow runs") {
             Outcome::Stopped { stage, checkpoint, .. } => {
@@ -1892,7 +1534,7 @@ mod tests {
 
     #[test]
     fn batch_args_parse_into_a_batch_config() {
-        let options = parse_batch_args(&args(&[
+        let options = parse_batch(&[
             "--workers",
             "2",
             "--stage-timeout",
@@ -1909,10 +1551,10 @@ mod tests {
             "--fast",
             "adder8",
             "c432",
-        ]))
+        ])
         .expect("parses");
         assert_eq!(options.inputs, vec!["adder8".to_owned(), "c432".to_owned()]);
-        let config = build_batch_config(&options);
+        let config = options.config;
         assert_eq!(config.workers, 2);
         assert_eq!(config.stage_timeout, Some(std::time::Duration::from_secs(30)));
         assert!(!config.retry_degraded);
@@ -1928,28 +1570,27 @@ mod tests {
 
     #[test]
     fn batch_args_reject_bad_input() {
-        assert!(parse_batch_args(&args(&[])).is_err());
-        assert!(parse_batch_args(&args(&["--workers", "two", "adder8"])).is_err());
-        assert!(parse_batch_args(&args(&["--stage-timeout", "-5", "adder8"])).is_err());
-        assert!(parse_batch_args(&args(&["--fault", "panic:adder8", "adder8"])).is_err());
-        assert!(parse_batch_args(&args(&["--frobnicate", "adder8"])).is_err());
+        assert!(parse_batch(&[]).is_err());
+        assert!(parse_batch(&["--workers", "two", "adder8"]).is_err());
+        assert!(parse_batch(&["--stage-timeout", "-5", "adder8"]).is_err());
+        assert!(parse_batch(&["--fault", "panic:adder8", "adder8"]).is_err());
+        assert!(parse_batch(&["--frobnicate", "adder8"]).is_err());
         // Two inputs reducing to one design name would share a journal.
-        let error =
-            parse_batch_args(&args(&["adder8", "designs/adder8.v"])).expect_err("colliding names");
+        let error = parse_batch(&["adder8", "designs/adder8.v"]).expect_err("colliding names");
         assert!(error.contains("adder8"), "{error}");
     }
 
     #[test]
     fn tech_list_names_every_registry_entry() {
-        let listing = run_tech_command(&args(&["list"])).expect("lists");
+        let listing = run_tech_command(&["list"]).expect("lists");
         assert!(listing.contains(MIT_LL_SQF5EE) && listing.contains(AIST_STP2), "{listing}");
-        let quiet = run_tech_command(&args(&["list", "--quiet"])).expect("lists");
+        let quiet = run_tech_command(&["list", "--quiet"]).expect("lists");
         assert_eq!(quiet.lines().collect::<Vec<_>>(), vec![MIT_LL_SQF5EE, AIST_STP2]);
     }
 
     #[test]
     fn tech_show_summarizes_builtins_and_files() {
-        let shown = run_tech_command(&args(&["show", MIT_LL_SQF5EE])).expect("shows");
+        let shown = run_tech_command(&["show", MIT_LL_SQF5EE]).expect("shows");
         assert!(shown.contains("MIT-LL SQF5ee"), "{shown}");
         assert!(shown.contains("fingerprint"), "{shown}");
 
@@ -1962,20 +1603,20 @@ mod tests {
             format!("{}{}", dump_header(&technology), technology.to_toml().unwrap()),
         )
         .expect("writes");
-        let shown = run_tech_command(&args(&["show", path.to_str().unwrap()])).expect("shows file");
+        let shown = run_tech_command(&["show", path.to_str().unwrap()]).expect("shows file");
         assert!(shown.contains("AIST STP2"), "{shown}");
 
-        assert!(run_tech_command(&args(&["show", "missing.toml"])).is_err());
-        assert!(run_tech_command(&args(&["bogus"])).is_err());
-        assert!(run_tech_command(&args(&[])).is_err());
+        assert!(run_tech_command(&["show", "missing.toml"]).is_err());
+        assert!(run_tech_command(&["bogus"]).is_err());
+        assert!(run_tech_command(&[]).is_err());
     }
 
     #[test]
     fn tech_dump_round_trips_through_the_loader() {
-        let dumped = run_tech_command(&args(&["dump", MIT_LL_SQF5EE])).expect("dumps");
+        let dumped = run_tech_command(&["dump", MIT_LL_SQF5EE]).expect("dumps");
         let loaded = Technology::from_toml(&dumped).expect("dump parses (header is comments)");
         assert_eq!(loaded, Technology::mit_ll_sqf5ee());
-        assert!(run_tech_command(&args(&["dump", "no-such-tech"])).is_err());
+        assert!(run_tech_command(&["dump", "no-such-tech"]).is_err());
     }
 
     /// The acceptance path: dump a built-in, edit one number, run the full
@@ -1985,7 +1626,7 @@ mod tests {
         let dir = std::env::temp_dir().join("superflow_cli_tech_flow");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("tight.toml");
-        let dumped = run_tech_command(&args(&["dump", MIT_LL_SQF5EE])).expect("dumps");
+        let dumped = run_tech_command(&["dump", MIT_LL_SQF5EE]).expect("dumps");
         let edited = dumped
             .replace("max_wirelength = 400.0", "max_wirelength = 300.0")
             .replace("name = \"mit-ll-sqf5ee\"", "name = \"mit-ll-tight\"");
@@ -1993,14 +1634,14 @@ mod tests {
         std::fs::write(&path, &edited).expect("writes");
 
         let options =
-            parse_args(&args(&["--fast", "--quiet", "--tech", path.to_str().unwrap(), "adder8"]))
+            parse_flow(&["--fast", "--quiet", "--tech", path.to_str().unwrap(), "adder8"])
                 .expect("parses");
         match run(&options).expect("flow runs on the edited technology") {
             Outcome::Complete(report) => {
                 assert_eq!(report.design_name, "adder8");
                 // The tighter W_max forces at least as many buffer lines as
                 // the stock process.
-                let stock = run(&parse_args(&args(&["--fast", "--quiet", "adder8"])).unwrap())
+                let stock = run(&parse_flow(&["--fast", "--quiet", "adder8"]).unwrap())
                     .expect("stock flow runs");
                 let Outcome::Complete(stock) = stock else { panic!("no --stop-after") };
                 assert!(
@@ -2018,15 +1659,12 @@ mod tests {
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod lint_cli_tests {
+    use super::parse_helpers::*;
     use super::*;
-
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
 
     #[test]
     fn parses_a_full_lint_command_line() {
-        let options = parse_lint_args(&args(&[
+        let options = parse_lint(&[
             "--tech",
             "aist-stp2",
             "--format",
@@ -2043,60 +1681,53 @@ mod lint_cli_tests {
             "8",
             "a.v",
             "b.blif",
-        ]))
+        ])
         .expect("parses");
         assert_eq!(options.inputs, vec!["a.v".to_owned(), "b.blif".to_owned()]);
-        assert_eq!(options.tech.as_deref(), Some("aist-stp2"));
+        assert_eq!(options.flow.tech.as_deref(), Some("aist-stp2"));
         assert!(options.json);
-        assert_eq!(options.lint.deny, vec!["AQFP-W009".to_owned(), "AQFP-W006".to_owned()]);
-        assert_eq!(options.lint.warn, vec!["AQFP-E005".to_owned()]);
-        assert_eq!(options.lint.allow, vec!["AQFP-W007".to_owned()]);
-        assert_eq!(options.lint.fanout_threshold, Some(8));
+        assert_eq!(options.flow.lint.deny, vec!["AQFP-W009".to_owned(), "AQFP-W006".to_owned()]);
+        assert_eq!(options.flow.lint.warn, vec!["AQFP-E005".to_owned()]);
+        assert_eq!(options.flow.lint.allow, vec!["AQFP-W007".to_owned()]);
+        assert_eq!(options.flow.lint.fanout_threshold, Some(8));
         assert!(!options.rules);
     }
 
     #[test]
     fn lint_defaults_are_text_format_and_empty_policy() {
-        let options = parse_lint_args(&args(&["adder8"])).expect("parses");
+        let options = parse_lint(&["adder8"]).expect("parses");
         assert!(!options.json);
-        assert_eq!(options.lint, LintConfig::default());
-        assert!(options.tech.is_none());
+        assert_eq!(options.flow.lint, LintConfig::default());
+        assert!(options.flow.tech.is_none());
     }
 
     #[test]
     fn lint_usage_errors_are_rejected() {
-        assert!(parse_lint_args(&args(&[])).is_err(), "no input");
-        assert!(parse_lint_args(&args(&["--format", "xml", "a.v"])).is_err(), "bad format");
-        assert!(parse_lint_args(&args(&["--deny"])).is_err(), "missing rule id");
+        assert!(parse_lint(&[]).is_err(), "no input");
+        assert!(parse_lint(&["--format", "xml", "a.v"]).is_err(), "bad format");
+        assert!(parse_lint(&["--deny"]).is_err(), "missing rule id");
         assert!(
-            parse_lint_args(&args(&["--fanout-threshold", "lots", "a.v"])).is_err(),
+            parse_lint(&["--fanout-threshold", "lots", "a.v"]).is_err(),
             "non-numeric threshold"
         );
-        assert!(parse_lint_args(&args(&["--frobnicate", "a.v"])).is_err(), "unknown flag");
+        assert!(parse_lint(&["--frobnicate", "a.v"]).is_err(), "unknown flag");
         assert!(
-            parse_lint_args(&args(&["--tech", "a", "--process", "stp2", "a.v"])).is_err(),
+            parse_lint(&["--tech", "a", "--process", "stp2", "a.v"]).is_err(),
             "tech and process conflict"
         );
     }
 
     #[test]
     fn generate_args_parse_with_defaults_and_overrides() {
-        let options = parse_generate_args(&args(&["random_dag"])).expect("parses");
+        let options = parse_generate(&["random_dag"]).expect("parses");
         assert_eq!(options.family, LargeFamily::RandomDag);
         assert_eq!(options.cells, 10_000);
         assert_eq!(options.seed, 0);
         assert!(options.output.is_none());
 
-        let options = parse_generate_args(&args(&[
-            "tiled-mul",
-            "--cells",
-            "50000",
-            "--seed",
-            "9",
-            "-o",
-            "big.v",
-        ]))
-        .expect("parses");
+        let options =
+            parse_generate(&["tiled-mul", "--cells", "50000", "--seed", "9", "-o", "big.v"])
+                .expect("parses");
         assert_eq!(options.family, LargeFamily::TiledMultiplier);
         assert_eq!(options.cells, 50_000);
         assert_eq!(options.seed, 9);
@@ -2105,19 +1736,19 @@ mod lint_cli_tests {
 
     #[test]
     fn generate_usage_errors_are_rejected() {
-        assert!(parse_generate_args(&args(&[])).is_err(), "no family");
-        assert!(parse_generate_args(&args(&["no_such_family"])).is_err(), "unknown family");
-        assert!(parse_generate_args(&args(&["random_dag", "apc_array"])).is_err(), "two families");
-        assert!(parse_generate_args(&args(&["random_dag", "--cells", "lots"])).is_err());
-        assert!(parse_generate_args(&args(&["random_dag", "--seed"])).is_err(), "missing value");
-        assert!(parse_generate_args(&args(&["random_dag", "--frobnicate"])).is_err());
+        assert!(parse_generate(&[]).is_err(), "no family");
+        assert!(parse_generate(&["no_such_family"]).is_err(), "unknown family");
+        assert!(parse_generate(&["random_dag", "apc_array"]).is_err(), "two families");
+        assert!(parse_generate(&["random_dag", "--cells", "lots"]).is_err());
+        assert!(parse_generate(&["random_dag", "--seed"]).is_err(), "missing value");
+        assert!(parse_generate(&["random_dag", "--frobnicate"]).is_err());
     }
 
     #[test]
     fn rules_flag_needs_no_input_and_catalog_renders_every_rule() {
-        let options = parse_lint_args(&args(&["--rules"])).expect("parses");
+        let options = parse_lint(&["--rules"]).expect("parses");
         assert!(options.rules);
-        let catalog = render_rule_catalog();
+        let catalog = render_catalog(&superflow::lint::catalog());
         for info in superflow::lint::catalog() {
             assert!(catalog.contains(info.id), "{} missing from:\n{catalog}", info.id);
         }
@@ -2127,15 +1758,12 @@ mod lint_cli_tests {
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod predict_cli_tests {
+    use super::parse_helpers::*;
     use super::*;
-
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
 
     #[test]
     fn parses_a_full_predict_command_line() {
-        let options = parse_predict_args(&args(&[
+        let options = parse_predict(&[
             "--tech",
             "aist-stp2",
             "--format",
@@ -2148,34 +1776,34 @@ mod predict_cli_tests {
             "AQFP-P005",
             "a.v",
             "b.blif",
-        ]))
+        ])
         .expect("parses");
         assert_eq!(options.inputs, vec!["a.v".to_owned(), "b.blif".to_owned()]);
-        assert_eq!(options.tech.as_deref(), Some("aist-stp2"));
+        assert_eq!(options.flow.tech.as_deref(), Some("aist-stp2"));
         assert!(options.json);
-        assert_eq!(options.lint.deny, vec!["AQFP-P002".to_owned()]);
-        assert_eq!(options.lint.warn, vec!["AQFP-P001".to_owned()]);
-        assert_eq!(options.lint.allow, vec!["AQFP-P005".to_owned()]);
+        assert_eq!(options.flow.lint.deny, vec!["AQFP-P002".to_owned()]);
+        assert_eq!(options.flow.lint.warn, vec!["AQFP-P001".to_owned()]);
+        assert_eq!(options.flow.lint.allow, vec!["AQFP-P005".to_owned()]);
         assert!(!options.rules);
     }
 
     #[test]
     fn predict_usage_errors_are_rejected() {
-        assert!(parse_predict_args(&args(&[])).is_err(), "no input");
-        assert!(parse_predict_args(&args(&["--format", "xml", "a.v"])).is_err(), "bad format");
-        assert!(parse_predict_args(&args(&["--deny"])).is_err(), "missing rule id");
-        assert!(parse_predict_args(&args(&["--frobnicate", "a.v"])).is_err(), "unknown flag");
+        assert!(parse_predict(&[]).is_err(), "no input");
+        assert!(parse_predict(&["--format", "xml", "a.v"]).is_err(), "bad format");
+        assert!(parse_predict(&["--deny"]).is_err(), "missing rule id");
+        assert!(parse_predict(&["--frobnicate", "a.v"]).is_err(), "unknown flag");
         assert!(
-            parse_predict_args(&args(&["--tech", "a", "--process", "stp2", "a.v"])).is_err(),
+            parse_predict(&["--tech", "a", "--process", "stp2", "a.v"]).is_err(),
             "tech and process conflict"
         );
     }
 
     #[test]
     fn predict_rules_catalog_names_every_predict_rule() {
-        let options = parse_predict_args(&args(&["--rules"])).expect("parses");
+        let options = parse_predict(&["--rules"]).expect("parses");
         assert!(options.rules);
-        let catalog = render_predict_rule_catalog();
+        let catalog = render_catalog(&superflow::predict::catalog());
         for info in superflow::predict::catalog() {
             assert!(catalog.contains(info.id), "{} missing from:\n{catalog}", info.id);
         }
@@ -2200,42 +1828,37 @@ mod predict_cli_tests {
     /// already wires it through `LintConfig`).
     #[test]
     fn fanout_threshold_flows_into_the_flow_and_batch_configs() {
-        let options =
-            parse_args(&args(&["--fanout-threshold", "5", "--fast", "adder8"])).expect("parses");
-        assert_eq!(build_config(&options).lint.fanout_threshold, Some(5));
-        let plain = parse_args(&args(&["adder8"])).expect("parses");
-        assert_eq!(build_config(&plain).lint.fanout_threshold, None);
+        let options = parse_flow(&["--fanout-threshold", "5", "--fast", "adder8"]).expect("parses");
+        assert_eq!(options.flow.config().lint.fanout_threshold, Some(5));
+        let plain = parse_flow(&["adder8"]).expect("parses");
+        assert_eq!(plain.flow.config().lint.fanout_threshold, None);
 
-        let batch =
-            parse_batch_args(&args(&["--fanout-threshold", "7", "adder8"])).expect("parses");
-        assert_eq!(build_batch_config(&batch).flow.lint.fanout_threshold, Some(7));
-        assert!(parse_args(&args(&["--fanout-threshold", "lots", "adder8"])).is_err());
-        assert!(parse_batch_args(&args(&["--fanout-threshold", "lots", "adder8"])).is_err());
+        let batch = parse_batch(&["--fanout-threshold", "7", "adder8"]).expect("parses");
+        assert_eq!(batch.config.flow.lint.fanout_threshold, Some(7));
+        assert!(parse_flow(&["--fanout-threshold", "lots", "adder8"]).is_err());
+        assert!(parse_batch(&["--fanout-threshold", "lots", "adder8"]).is_err());
     }
 
     /// `--no-predict` turns the batch prediction pass off; it is on by
     /// default.
     #[test]
     fn no_predict_disables_the_batch_prediction_pass() {
-        let default = parse_batch_args(&args(&["adder8"])).expect("parses");
-        assert!(build_batch_config(&default).predict);
-        let off = parse_batch_args(&args(&["--no-predict", "adder8"])).expect("parses");
-        assert!(!build_batch_config(&off).predict);
+        let default = parse_batch(&["adder8"]).expect("parses");
+        assert!(default.config.predict);
+        let off = parse_batch(&["--no-predict", "adder8"]).expect("parses");
+        assert!(!off.config.predict);
     }
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod verify_cli_tests {
+    use super::parse_helpers::*;
     use super::*;
-
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
 
     #[test]
     fn parses_a_full_verify_command_line() {
-        let options = parse_verify_args(&args(&[
+        let options = parse_verify(&[
             "--tech",
             "aist-stp2",
             "--fast",
@@ -2249,17 +1872,17 @@ mod verify_cli_tests {
             "phase",
             "a.gds",
             "b.json",
-        ]))
+        ])
         .expect("parses");
         assert_eq!(options.inputs, vec!["a.gds".to_owned(), "b.json".to_owned()]);
-        assert_eq!(options.tech.as_deref(), Some("aist-stp2"));
-        assert_eq!(options.threads, Some(2));
-        assert!(options.fast && options.json);
+        assert_eq!(options.flow.tech.as_deref(), Some("aist-stp2"));
+        assert_eq!(options.flow.threads, Some(2));
+        assert!(options.flow.fast && options.json);
         assert_eq!(options.against.as_deref(), Some("gen:random_dag:1000:7"));
         assert_eq!(options.inject, Some(Defect::Phase));
         assert!(!options.rules);
         // The re-derivation config reflects the flags.
-        let config = build_verify_config(&options);
+        let config = options.flow.config();
         assert_eq!(config.tech, TechSpec::builtin(aqfp_cells::AIST_STP2));
         assert_eq!(config.threads(), 2);
         // The subcommand drives the verifiers itself; the per-stage gates
@@ -2269,31 +1892,28 @@ mod verify_cli_tests {
 
     #[test]
     fn verify_usage_errors_are_rejected() {
-        assert!(parse_verify_args(&args(&[])).is_err(), "no input");
-        assert!(parse_verify_args(&args(&["--format", "xml", "a.gds"])).is_err(), "bad format");
+        assert!(parse_verify(&[]).is_err(), "no input");
+        assert!(parse_verify(&["--format", "xml", "a.gds"]).is_err(), "bad format");
+        assert!(parse_verify(&["--inject-defect", "bitflip", "a.gds"]).is_err(), "unknown defect");
+        assert!(parse_verify(&["--against", "a", "--against", "b", "x.gds"]).is_err());
+        assert!(parse_verify(&["--frobnicate", "a.gds"]).is_err(), "unknown flag");
         assert!(
-            parse_verify_args(&args(&["--inject-defect", "bitflip", "a.gds"])).is_err(),
-            "unknown defect"
-        );
-        assert!(parse_verify_args(&args(&["--against", "a", "--against", "b", "x.gds"])).is_err());
-        assert!(parse_verify_args(&args(&["--frobnicate", "a.gds"])).is_err(), "unknown flag");
-        assert!(
-            parse_verify_args(&args(&["--tech", "a", "--process", "stp2", "a.gds"])).is_err(),
+            parse_verify(&["--tech", "a", "--process", "stp2", "a.gds"]).is_err(),
             "tech and process conflict"
         );
         // Inputs that are neither GDS nor checkpoints are rejected at
         // dispatch, with the supported kinds named.
-        let options = parse_verify_args(&args(&["design.v"])).expect("parses");
-        let error = verify_one("design.v", &options, &build_verify_config(&options))
-            .expect_err("not an artifact");
+        let options = parse_verify(&["design.v"]).expect("parses");
+        let error =
+            verify_one("design.v", &options, &options.flow.config()).expect_err("not an artifact");
         assert!(error.contains(".gds") && error.contains(".json"), "{error}");
     }
 
     #[test]
     fn verify_rules_catalog_names_every_verify_rule() {
-        let options = parse_verify_args(&args(&["--rules"])).expect("parses");
+        let options = parse_verify(&["--rules"]).expect("parses");
         assert!(options.rules);
-        let catalog = render_verify_rule_catalog();
+        let catalog = render_catalog(&superflow::verify::catalog());
         for info in superflow::verify::catalog() {
             assert!(catalog.contains(info.id), "{} missing from:\n{catalog}", info.id);
         }
@@ -2301,12 +1921,12 @@ mod verify_cli_tests {
 
     #[test]
     fn verify_flag_gates_the_flow_and_batch_configs() {
-        let options = parse_args(&args(&["--verify", "--fast", "adder8"])).expect("parses");
-        assert!(build_config(&options).verify.enabled);
-        let plain = parse_args(&args(&["adder8"])).expect("parses");
-        assert!(!build_config(&plain).verify.enabled);
-        let batch = parse_batch_args(&args(&["--verify", "adder8"])).expect("parses");
-        assert!(build_batch_config(&batch).flow.verify.enabled);
+        let options = parse_flow(&["--verify", "--fast", "adder8"]).expect("parses");
+        assert!(options.flow.config().verify.enabled);
+        let plain = parse_flow(&["adder8"]).expect("parses");
+        assert!(!plain.flow.config().verify.enabled);
+        let batch = parse_batch(&["--verify", "adder8"]).expect("parses");
+        assert!(batch.config.flow.verify.enabled);
     }
 
     /// The acceptance path: write a GDS with the flow, verify it clean,
@@ -2322,16 +1942,15 @@ mod verify_cli_tests {
         std::fs::write(&path, report.layout.to_gds_bytes()).expect("writes");
         let path = path.to_str().expect("utf-8 path");
 
-        let options = parse_verify_args(&args(&["--fast", path])).expect("parses");
-        let config = build_verify_config(&options);
+        let options = parse_verify(&["--fast", path]).expect("parses");
+        let config = options.flow.config();
         let clean = verify_one(path, &options, &config).expect("verifies");
         assert!(clean.ran("lec") && clean.ran("phase") && clean.ran("lvs"), "{:?}", clean.checks);
         assert!(!clean.has_errors(), "{}", clean.render());
 
         for defect in [Defect::Wire, Defect::Cell, Defect::Phase] {
             let injected =
-                parse_verify_args(&args(&["--fast", "--inject-defect", defect.name(), path]))
-                    .expect("parses");
+                parse_verify(&["--fast", "--inject-defect", defect.name(), path]).expect("parses");
             let report = verify_one(path, &injected, &config).expect("verifies");
             assert!(
                 report.mentions(defect.expected_rule()),
@@ -2350,7 +1969,7 @@ mod verify_cli_tests {
         let dir = std::env::temp_dir().join("superflow_cli_verify_ckpt");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("adder8_placed.json");
-        let options = parse_args(&args(&[
+        let options = parse_flow(&[
             "--fast",
             "--quiet",
             "--stop-after",
@@ -2358,7 +1977,7 @@ mod verify_cli_tests {
             "--report",
             "unused.json",
             "adder8",
-        ]))
+        ])
         .expect("parses");
         let Outcome::Stopped { checkpoint: Some(json), .. } = run(&options).expect("flow runs")
         else {
@@ -2367,9 +1986,8 @@ mod verify_cli_tests {
         std::fs::write(&path, json).expect("writes");
         let path = path.to_str().expect("utf-8 path");
 
-        let options =
-            parse_verify_args(&args(&["--fast", "--against", "adder8", path])).expect("parses");
-        let config = build_verify_config(&options);
+        let options = parse_verify(&["--fast", "--against", "adder8", path]).expect("parses");
+        let config = options.flow.config();
         let report = verify_one(path, &options, &config).expect("verifies");
         assert!(report.ran("phase") && report.ran("lec"), "{:?}", report.checks);
         assert!(!report.ran("lvs"), "no layout exists before the check stage");

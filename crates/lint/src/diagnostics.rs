@@ -106,6 +106,20 @@ impl fmt::Display for Diagnostic {
     }
 }
 
+/// Sorts diagnostics into report order: severity descending, then rule id,
+/// then source position, then object name. Every report built on this
+/// diagnostic model (lint, verify) orders its findings through this one
+/// function, so mixed tooling sorts identically.
+pub fn sort_diagnostics(diagnostics: &mut [Diagnostic]) {
+    diagnostics.sort_by(|a, b| {
+        b.severity
+            .cmp(&a.severity)
+            .then_with(|| a.rule.cmp(&b.rule))
+            .then_with(|| (a.line, a.column).cmp(&(b.line, b.column)))
+            .then_with(|| a.object.cmp(&b.object))
+    });
+}
+
 /// The outcome of linting one design.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LintReport {
@@ -121,16 +135,9 @@ impl LintReport {
         Self { design: design.into(), diagnostics: Vec::new() }
     }
 
-    /// Sorts diagnostics into report order: severity descending, then rule
-    /// id, then source position — a deterministic order for tests and CI.
+    /// Sorts diagnostics into report order with [`sort_diagnostics`].
     pub fn normalize(&mut self) {
-        self.diagnostics.sort_by(|a, b| {
-            b.severity
-                .cmp(&a.severity)
-                .then_with(|| a.rule.cmp(&b.rule))
-                .then_with(|| (a.line, a.column).cmp(&(b.line, b.column)))
-                .then_with(|| a.object.cmp(&b.object))
-        });
+        sort_diagnostics(&mut self.diagnostics);
     }
 
     /// The error-severity findings.

@@ -63,7 +63,7 @@ pub mod rules;
 
 pub use config::{FlowSettings, LintConfig};
 pub use context::LintContext;
-pub use diagnostics::{Diagnostic, LintReport, Severity};
+pub use diagnostics::{sort_diagnostics, Diagnostic, LintReport, Severity};
 
 use aqfp_cells::Technology;
 use aqfp_netlist::Netlist;

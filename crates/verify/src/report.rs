@@ -55,17 +55,11 @@ impl VerifyReport {
         self.diagnostics.extend(other.diagnostics);
     }
 
-    /// Sorts diagnostics into report order: severity descending, then rule
-    /// id, then source position — the same deterministic order lint reports
-    /// use, so mixed tooling sorts identically.
+    /// Sorts diagnostics into report order with
+    /// [`sort_diagnostics`](aqfp_lint::sort_diagnostics), the order lint
+    /// reports use.
     pub fn normalize(&mut self) {
-        self.diagnostics.sort_by(|a, b| {
-            b.severity
-                .cmp(&a.severity)
-                .then_with(|| a.rule.cmp(&b.rule))
-                .then_with(|| (a.line, a.column).cmp(&(b.line, b.column)))
-                .then_with(|| a.object.cmp(&b.object))
-        });
+        aqfp_lint::sort_diagnostics(&mut self.diagnostics);
     }
 
     /// The error-severity findings.
