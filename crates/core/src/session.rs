@@ -15,7 +15,10 @@
 //! fields), **serializable** (`to_json`/`from_json` checkpoints) and
 //! **resumable**: a deserialized artifact continues through the remaining
 //! stages of any session with the same configuration and produces the same
-//! final GDS. Every artifact embeds the fingerprint of the technology it
+//! final GDS. Checkpoints are compact JSON, encoded and decoded in a single
+//! pass without an intermediate value tree, and re-encoding a decoded
+//! checkpoint reproduces its bytes; indented checkpoints (the format of
+//! older journals) still load. Every artifact embeds the fingerprint of the technology it
 //! was produced under, and the stage methods refuse (with
 //! [`FlowError::TechnologyMismatch`]) to resume an artifact into a session
 //! targeting a different technology — a checkpoint can never silently mix
@@ -188,10 +191,10 @@ pub trait FlowObserver {
     fn drc_iteration(&mut self, _iteration: usize, _report: &DrcReport, _scope: RepairScope<'_>) {}
 }
 
-/// Serializes a stage artifact to its JSON checkpoint; `what` names the
-/// artifact in the error context.
+/// Serializes a stage artifact to its compact JSON checkpoint; `what` names
+/// the artifact in the error context.
 fn checkpoint_to_json<T: Serialize>(artifact: &T, what: &str) -> Result<String, FlowError> {
-    serde_json::to_string_pretty(artifact)
+    serde_json::to_string(artifact)
         .map_err(|e| FlowError::Checkpoint(format!("cannot serialize {what} artifact: {e}")))
 }
 
