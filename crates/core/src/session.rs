@@ -7,7 +7,7 @@
 //! synthesize() → Synthesized
 //!     place()  → Placed
 //!     route()  → Routed
-//!     check()  → Checked       (DRC + incremental violation repair)
+//!     check()  → Checked       (DRC + incremental violation repair + layout)
 //!     finish() → FlowReport
 //! ```
 //!
@@ -33,11 +33,13 @@
 //! and the session hands both to [`Router::route_partial`], which routes
 //! only the affected channels and re-keys every clean one — the result is
 //! byte-identical to a from-scratch reroute even across buffer-row
-//! insertions. Timing follows the same discipline: the repair loop
-//! maintains one structure-of-arrays [`TimingBatch`], appending the nets an
-//! edit created and refreshing only the slots it rewrote plus those
-//! incident to moved cells, and the final placement report carries the
-//! post-repair timing.
+//! insertions. Repair iterates on (design, routing) alone, because the DRC
+//! checker reads nothing else; the layout is built once, from the final
+//! design and routing, after the loop. Timing follows the same discipline:
+//! the repair loop maintains one structure-of-arrays [`TimingBatch`],
+//! appending the nets an edit created and refreshing only the slots it
+//! rewrote plus those incident to moved cells, and the final placement
+//! report carries the post-repair timing.
 //!
 //! # Examples
 //!
@@ -435,9 +437,9 @@ pub struct Checked {
     /// The routed artifact after DRC repair (placement and routing reflect
     /// every fix the repair loop applied; the dirty-channel set is empty).
     pub routed: Routed,
-    /// The generated GDSII layout.
+    /// The GDSII layout of the final (repaired) design and routing.
     pub layout: Layout,
-    /// Design-rule-check report after the final layout generation.
+    /// Design-rule-check report of the final design and routing.
     pub drc: DrcReport,
     /// Number of DRC-fix iterations the repair loop executed.
     pub drc_iterations: usize,
@@ -817,10 +819,14 @@ impl FlowSession {
         Ok(routed)
     }
 
-    /// Generates the layout and runs DRC, repairing violations in place:
-    /// spacing problems are fixed by re-legalization, max-wirelength
-    /// problems by another round of buffer rows, and both trigger a reroute
-    /// before the layout is regenerated.
+    /// Runs DRC and repairs violations in place, then generates the
+    /// layout: spacing problems are fixed by re-legalization,
+    /// max-wirelength problems by another round of buffer rows, and both
+    /// trigger a reroute and a re-check.
+    ///
+    /// Repair iterates on (design, routing) only: the checker reads
+    /// nothing else, so no layout is built inside the loop. The layout is
+    /// generated once, after the loop, from the final design and routing.
     ///
     /// Every repair — including buffer-row insertion — is *incremental*.
     /// A spacing fix reroutes only the channels touched by the cells
@@ -853,7 +859,6 @@ impl FlowSession {
         self.stage_started(FlowStage::Check);
         let start = Instant::now();
         let Routed { mut placed, mut routing, mut dirty_channels } = routed;
-        let generator = LayoutGenerator::new(Arc::clone(&self.technology));
         let checker = DrcChecker::for_technology(&self.technology).with_cancel(self.cancel.clone());
         let router = Router::with_config(Arc::clone(&self.technology), self.config.router)
             .with_cancel(self.cancel.clone());
@@ -875,7 +880,6 @@ impl FlowSession {
             dirty_channels.clear();
         }
 
-        let mut layout = generator.generate(&placed.placement.design, &routing);
         let mut drc = checker.check(&placed.placement.design, &routing);
         let mut drc_iterations = 0;
         while !drc.is_clean() && drc_iterations < self.config.max_drc_iterations {
@@ -949,8 +953,8 @@ impl FlowSession {
                 observer.drc_iteration(drc_iterations, &drc, scope);
             }
             if scope == RepairScope::Unchanged {
-                // The repair moved nothing: rerouting, layout and DRC would
-                // all reproduce themselves exactly (routing is
+                // The repair moved nothing: rerouting and DRC would both
+                // reproduce themselves exactly (routing is
                 // deterministic), so the loop has reached a fixed point and
                 // further iterations cannot make progress. The remaining
                 // violations are reported, not hidden.
@@ -962,7 +966,6 @@ impl FlowSession {
             // onto their renumbered rows when the edit shifted them.
             routing =
                 router.route_partial(&placed.placement.design, &routing, &dirty, edit.as_ref());
-            layout = generator.generate(&placed.placement.design, &routing);
             drc = checker.check(&placed.placement.design, &routing);
         }
 
@@ -974,6 +977,10 @@ impl FlowSession {
         placed.placement.timing =
             analyzer.analyze_batch(&timing_batch, placed.placement.design.layer_width().max(1.0));
 
+        // The checker reads only the design and the routing, so the layout
+        // is built once, from the final ones.
+        let layout = LayoutGenerator::new(Arc::clone(&self.technology))
+            .generate(&placed.placement.design, &routing);
         self.ensure_not_cancelled(FlowStage::Check)?;
         self.stage_finished(FlowStage::Check, start.elapsed().as_secs_f64());
         let checked = Checked {

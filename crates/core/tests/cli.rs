@@ -6,6 +6,9 @@
 //! shared flag parser cannot quietly widen a command. Flags are checked
 //! without running a flow: a trailing `--help` ends parsing with exit 0
 //! once everything before it parsed.
+//!
+//! `synthesis_is_repeatable_across_processes` pins that the output is a
+//! pure function of the input in every process, not only within one.
 
 use std::io::Read;
 use std::process::{Command, Output, Stdio};
@@ -237,4 +240,42 @@ fn a_closed_stdout_pipe_is_not_a_panic() {
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     assert!(stderr.is_empty(), "stderr: {stderr}");
     assert_ne!(output.status.code(), Some(101), "stderr: {stderr}");
+}
+
+/// Two processes synthesizing the same netlist write the same bytes. Each
+/// process builds its own majority mapping table, so an equal-cost tie
+/// broken in hash order would show up here. A single random DAG often hits
+/// only one or two such ties, which two processes break the same way by
+/// chance, so the test checks several DAGs.
+#[test]
+fn synthesis_is_repeatable_across_processes() {
+    let dir = std::env::temp_dir().join(format!("superflow_cli_repeat_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for design in ["gen:random_dag:2000:5", "gen:random_dag:4000:5", "gen:random_dag:6000:1"] {
+        let runs: Vec<_> = (0..2)
+            .map(|run| {
+                let checkpoint = dir.join(format!("synthesized_{run}.json"));
+                let child = Command::new(env!("CARGO_BIN_EXE_superflow"))
+                    .args(["--fast", "--quiet", "--stop-after", "synthesis", "--report"])
+                    .arg(&checkpoint)
+                    .arg(design)
+                    .stdout(Stdio::null())
+                    .spawn()
+                    .expect("the superflow binary runs");
+                (child, checkpoint)
+            })
+            .collect();
+        let outputs: Vec<Vec<u8>> = runs
+            .into_iter()
+            .map(|(mut child, checkpoint)| {
+                assert!(child.wait().expect("the process exits").success(), "{design}");
+                std::fs::read(checkpoint).expect("the checkpoint was written")
+            })
+            .collect();
+        assert!(
+            outputs[0] == outputs[1],
+            "{design}: two processes wrote different synthesis checkpoints"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -132,6 +132,21 @@ impl DesignEdit {
     }
 }
 
+/// The old → new row index once `lines_per_gap[r]` buffer lines go into the
+/// gap above row `r`: each row shifts up by the lines inserted below it.
+fn row_remap(lines_per_gap: &[usize]) -> Vec<usize> {
+    let mut inserted_below = 0;
+    lines_per_gap
+        .iter()
+        .enumerate()
+        .map(|(row, &lines)| {
+            let new_row = row + inserted_below;
+            inserted_below += lines;
+            new_row
+        })
+        .collect()
+}
+
 /// Number of intermediate rows needed so every hop of a connection with
 /// horizontal span `dx` stays within the maximum wirelength (each hop also
 /// pays one row pitch of vertical distance).
@@ -225,11 +240,8 @@ pub fn insert_buffer_rows(
         return (report, DesignEdit::identity(design));
     }
 
-    // Rows above an expanded gap shift up by the lines inserted below them.
-    let old_row_count = design.rows.len();
-    let new_row_index: Vec<usize> =
-        (0..old_row_count).map(|r| r + lines_per_gap[..r].iter().sum::<usize>()).collect();
-    let total_rows = old_row_count + report.buffer_lines;
+    let new_row_index = row_remap(&lines_per_gap);
+    let total_rows = design.rows.len() + report.buffer_lines;
 
     for cell in &mut design.cells {
         cell.row = new_row_index[cell.row];
@@ -374,6 +386,13 @@ mod tests {
             row_pitch: library.rules().row_pitch,
             rules: library.rules().clone(),
         }
+    }
+
+    #[test]
+    fn row_remap_shifts_each_row_by_the_lines_inserted_below_it() {
+        assert_eq!(row_remap(&[0, 2, 0, 1, 3, 0]), vec![0, 1, 4, 5, 7, 11]);
+        assert_eq!(row_remap(&[0, 0, 0]), vec![0, 1, 2]);
+        assert_eq!(row_remap(&[]), Vec::<usize>::new());
     }
 
     #[test]

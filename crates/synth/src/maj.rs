@@ -9,11 +9,21 @@
 //! Karnaugh-map matching. A cone is only rewritten when the replacement uses
 //! no more Josephson junctions than the original (ties are broken in favour
 //! of fewer logic levels).
+//!
+//! A cone's leaves must be independent: no leaf may lie in another leaf's
+//! transitive fan-in. That test runs for every candidate cone, so it never
+//! walks the whole fan-in cone. Logic levels rise strictly along every
+//! fan-in edge, so a gate at level `l` can only be reached from a
+//! descendant through gates above `l`. The search from the descendant
+//! therefore never descends to the candidate ancestor's level or below,
+//! stops at the first hit, and marks visited gates in one reusable,
+//! epoch-stamped buffer. The levels are recomputed together with the
+//! fan-out counts, after each converted cone.
 
 use std::collections::HashMap;
 
 use aqfp_cells::{CellKind, Technology};
-use aqfp_netlist::{traverse, GateId, Netlist};
+use aqfp_netlist::{traverse, GateId, Netlist, NetlistError};
 use serde::{Deserialize, Serialize};
 
 use crate::truth::{Literal, MajExpr, MappingTable, TruthTable3};
@@ -48,13 +58,14 @@ pub fn convert_to_majority(
         ..MajConversionReport::default()
     };
 
-    let order = match traverse::topological_order(&work) {
-        Ok(order) => order,
-        Err(_) => {
-            report.jj_after = report.jj_before;
-            return (work, report);
-        }
-    };
+    let (order, mut ancestry) =
+        match (traverse::topological_order(&work), AncestorSearch::new(&work)) {
+            (Ok(order), Ok(ancestry)) => (order, ancestry),
+            _ => {
+                report.jj_after = report.jj_before;
+                return (work, report);
+            }
+        };
 
     // Gates consumed as cone internals; they are skipped as future roots and
     // swept at the end.
@@ -69,7 +80,7 @@ pub fn convert_to_majority(
         if !kind.is_logic() || kind.input_count() < 2 {
             continue;
         }
-        let Some(cone) = grow_cone(&work, root, &dead, &fanout_count) else {
+        let Some(cone) = grow_cone(&work, root, &dead, &fanout_count, &mut ancestry) else {
             continue;
         };
         report.cones_examined += 1;
@@ -95,9 +106,14 @@ pub fn convert_to_majority(
             }
         }
         // New gates were appended; extend the bookkeeping vectors and refresh
-        // fan-out counts (the rewrite changed them).
+        // fan-out counts and levels (the rewrite changed them).
         dead.resize(work.gate_count(), false);
         fanout_count = count_fanouts(&work);
+        // A cone is only ever rewired onto its own leaves, so the rewrite
+        // cannot close a cycle; should it ever, stop converting.
+        if ancestry.refresh(&work).is_err() {
+            break;
+        }
     }
 
     let swept = work.pruned();
@@ -128,6 +144,7 @@ fn grow_cone(
     root: GateId,
     dead: &[bool],
     fanout_count: &[usize],
+    ancestry: &mut AncestorSearch,
 ) -> Option<Cone> {
     const MAX_INTERNAL: usize = 5;
 
@@ -184,12 +201,70 @@ fn grow_cone(
     // the cone's function is not a free function of its leaves.
     for (i, &a) in leaves.iter().enumerate() {
         for &b in leaves.iter().skip(i + 1) {
-            if traverse::is_ancestor(netlist, a, b) || traverse::is_ancestor(netlist, b, a) {
+            if ancestry.is_ancestor(netlist, a, b) || ancestry.is_ancestor(netlist, b, a) {
                 return None;
             }
         }
     }
     Some(Cone { root, internal, leaves })
+}
+
+/// Level-pruned ancestor queries over one netlist, valid until the netlist
+/// changes (then call [`AncestorSearch::refresh`]).
+struct AncestorSearch {
+    levels: Vec<usize>,
+    /// `visited[g] == epoch` marks `g` as seen by the current query.
+    visited: Vec<u32>,
+    epoch: u32,
+    stack: Vec<GateId>,
+}
+
+impl AncestorSearch {
+    fn new(netlist: &Netlist) -> Result<Self, NetlistError> {
+        let mut search =
+            AncestorSearch { levels: Vec::new(), visited: Vec::new(), epoch: 0, stack: Vec::new() };
+        search.refresh(netlist)?;
+        Ok(search)
+    }
+
+    /// Recomputes the levels after the netlist changed.
+    fn refresh(&mut self, netlist: &Netlist) -> Result<(), NetlistError> {
+        self.levels = traverse::logic_levels(netlist)?;
+        self.visited.resize(netlist.gate_count(), 0);
+        Ok(())
+    }
+
+    /// Whether `ancestor` lies in the transitive fan-in cone of
+    /// `descendant` (a gate is its own ancestor).
+    fn is_ancestor(&mut self, netlist: &Netlist, ancestor: GateId, descendant: GateId) -> bool {
+        if ancestor == descendant {
+            return true;
+        }
+        let floor = self.levels[ancestor.index()];
+        if self.levels[descendant.index()] <= floor {
+            return false;
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.visited.fill(0);
+            self.epoch = 1;
+        }
+        self.stack.clear();
+        self.stack.push(descendant);
+        while let Some(gate) = self.stack.pop() {
+            for &driver in &netlist.gate(gate).fanin {
+                if driver == ancestor {
+                    return true;
+                }
+                let d = driver.index();
+                if self.levels[d] > floor && self.visited[d] != self.epoch {
+                    self.visited[d] = self.epoch;
+                    self.stack.push(driver);
+                }
+            }
+        }
+        false
+    }
 }
 
 /// Evaluates the cone's root as a function of its leaves.
@@ -328,8 +403,9 @@ fn materialize(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use aqfp_netlist::generators::{benchmark_circuit, kogge_stone_adder, Benchmark};
+    use aqfp_netlist::generators::{benchmark_circuit, kogge_stone_adder, Benchmark, LargeFamily};
     use aqfp_netlist::simulate;
+    use proptest::prelude::*;
 
     fn library() -> Technology {
         Technology::mit_ll_sqf5ee()
@@ -423,5 +499,42 @@ mod tests {
         assert!(simulate::equivalent(&n, &converted).unwrap());
         // g1 must still exist (its value is observable at y1).
         assert!(converted.primary_outputs().len() == 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// The level-pruned search agrees with the plain definition (`a` is
+        /// in the transitive fan-in cone of `b`) on random gate pairs, half
+        /// of them drawn from inside the cone, across an epoch wrap-around.
+        #[test]
+        fn pruned_ancestor_search_matches_the_fanin_cone(
+            case in (16usize..400, any::<u64>(), any::<u64>())
+        ) {
+            let (cells, seed, mut picks) = case;
+            let netlist = LargeFamily::RandomDag.by_cells(cells, seed);
+            let mut search = AncestorSearch::new(&netlist).unwrap();
+            search.epoch = u32::MAX - 20;
+            let n = netlist.gate_count() as u64;
+            let mut next = move || {
+                // SplitMix64.
+                picks = picks.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = picks;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            };
+            for round in 0..64 {
+                let b = GateId((next() % n) as usize);
+                let cone = traverse::fanin_cone(&netlist, b);
+                let a = if round % 2 == 0 {
+                    cone[(next() % cone.len() as u64) as usize]
+                } else {
+                    GateId((next() % n) as usize)
+                };
+                let oracle = cone.binary_search(&a).is_ok();
+                prop_assert_eq!(search.is_ancestor(&netlist, a, b), oracle, "{:?} -> {:?}", a, b);
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! two levels of majority gates over (possibly inverted) inputs and
 //! constants, the cheapest majority-based implementation.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::OnceLock;
 
 /// A 3-input boolean function encoded as an 8-bit truth table.
@@ -245,8 +245,11 @@ impl MappingTable {
             }
         }
         // Deduplicate level-1 expressions by truth table, keeping the
-        // cheapest, to bound the level-2 enumeration.
-        let mut level1_best: HashMap<TruthTable3, MajExpr> = HashMap::new();
+        // cheapest, to bound the level-2 enumeration. The map is ordered so
+        // the level-2 operands (and with them the winner of every
+        // equal-cost tie below) come out in truth-table order, the same in
+        // every process.
+        let mut level1_best: BTreeMap<TruthTable3, MajExpr> = BTreeMap::new();
         for expr in level1 {
             let tt = expr.truth_table();
             match level1_best.get(&tt) {

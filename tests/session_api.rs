@@ -272,6 +272,61 @@ fn buffer_row_repair_is_incremental_and_byte_identical() {
     }
 }
 
+/// Repair works on (design, routing) alone; the layout is built once, at
+/// the end. With repair switched off, that one layout is exactly the
+/// layout of the routed design.
+#[test]
+fn check_without_repair_lays_out_the_routed_design() {
+    use aqfp_layout::LayoutGenerator;
+
+    let mut config = fast_config();
+    config.max_drc_iterations = 0;
+    let mut session = FlowSession::new(config).expect("session opens");
+    let synthesized =
+        session.synthesize(&benchmark_circuit(Benchmark::Adder8)).expect("synthesis succeeds");
+    let placed = session.place(synthesized).expect("placement succeeds");
+    let routed = session.route(placed).expect("routing succeeds");
+    let expected = LayoutGenerator::new(Arc::clone(session.technology()))
+        .generate(routed.design(), &routed.routing);
+
+    let checked = session.check(routed).expect("check succeeds");
+    assert_eq!(checked.drc_iterations, 0);
+    assert!(!checked.drc.is_clean(), "adder8 reaches check with residuals to leave alone");
+    assert_eq!(checked.layout.to_gds_bytes(), expected.to_gds_bytes());
+}
+
+/// Fires the session's cancel token from inside the repair loop.
+struct CancelOnRepair(aqfp_cells::CancelToken);
+
+impl FlowObserver for CancelOnRepair {
+    fn drc_iteration(&mut self, _iteration: usize, _report: &DrcReport, _scope: RepairScope<'_>) {
+        self.0.cancel();
+    }
+}
+
+/// A cancel that fires mid-repair ends the check stage with
+/// `FlowError::Cancelled`, not with a layout of a half-repaired design.
+#[test]
+fn cancelling_during_repair_cancels_the_check_stage() {
+    let cancel = aqfp_cells::CancelToken::new();
+    let mut session = FlowSession::new(fast_config()).expect("session opens");
+    let synthesized =
+        session.synthesize(&benchmark_circuit(Benchmark::Adder8)).expect("synthesis succeeds");
+    let placed = session.place(synthesized).expect("placement succeeds");
+    let routed = session.route(placed).expect("routing succeeds");
+    assert!(
+        !routed.design().max_wirelength_violations().is_empty(),
+        "adder8 must reach check with violations for the repair loop to run"
+    );
+
+    session.set_cancel_token(cancel.clone());
+    session.add_observer(Box::new(CancelOnRepair(cancel)));
+    match session.check(routed) {
+        Err(FlowError::Cancelled { stage }) => assert_eq!(stage, FlowStage::Check),
+        other => panic!("expected FlowError::Cancelled, got {other:?}"),
+    }
+}
+
 #[test]
 fn synthesize_refuses_lint_rejected_netlists_with_the_full_report() {
     // A two-gate combinational loop: structurally parseable, never legal.
