@@ -8,11 +8,11 @@
 //! With `--quick` the smaller `apc32` circuit is used instead, which
 //! exercises the same code path in a few seconds.
 //!
-//! The run drives the staged `FlowSession` API with an observer so each
-//! stage reports its wall-clock share as it completes.
+//! The run drives `FlowSession::run` with an observer so each stage reports
+//! its wall-clock share as it completes.
 
 use aqfp_netlist::generators::{benchmark_circuit, Benchmark};
-use superflow::{Flow, FlowConfig, FlowObserver, FlowStage, RepairScope};
+use superflow::{FlowConfig, FlowObserver, FlowSession, FlowStage, RepairScope};
 
 /// Prints one line per completed stage and per DRC-repair iteration.
 struct Progress;
@@ -35,17 +35,12 @@ impl FlowObserver for Progress {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let benchmark = if quick { Benchmark::Apc32 } else { Benchmark::Apc128 };
-    let flow = Flow::with_config(FlowConfig::paper_default());
 
     println!("Fig. 5: staged flow for AQFP circuit {benchmark}");
-    let mut session = flow.session().expect("built-in technology resolves");
+    let mut session =
+        FlowSession::new(FlowConfig::paper_default()).expect("built-in technology resolves");
     session.add_observer(Box::new(Progress));
-    let synthesized =
-        session.synthesize(&benchmark_circuit(benchmark)).expect("benchmark circuits are valid");
-    let placed = session.place(synthesized).expect("same-technology placement");
-    let routed = session.route(placed).expect("same-technology routing");
-    let checked = session.check(routed).expect("same-technology check");
-    let report = session.finish(checked);
+    let report = session.run(&benchmark_circuit(benchmark)).expect("benchmark circuits are valid");
 
     let bytes = report.layout.to_gds_bytes();
     let path = format!("{}.gds", report.design_name);

@@ -85,6 +85,26 @@ pub const MIT_LL_SQF5EE: &str = "mit-ll-sqf5ee";
 /// Registry name of the built-in AIST standard process 2 technology.
 pub const AIST_STP2: &str = "aist-stp2";
 
+/// A built-in fabrication process by its short name, the values the legacy
+/// `--process` flag accepts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum Process {
+    /// AIST standard process 2.
+    Stp2,
+    /// MIT Lincoln Laboratory SQF5ee.
+    MitLl,
+}
+
+impl Process {
+    /// The registry name of the built-in [`Technology`] for this process.
+    pub fn tech_name(self) -> &'static str {
+        match self {
+            Process::MitLl => MIT_LL_SQF5EE,
+            Process::Stp2 => AIST_STP2,
+        }
+    }
+}
+
 /// A complete, loadable description of one fabrication process.
 ///
 /// Bundles every process fact the RTL-to-GDS flow consumes: the design
@@ -543,6 +563,34 @@ impl Default for TechnologyRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn paper_dimensions_are_respected() {
+        let tech = Technology::mit_ll_sqf5ee();
+        let buf = tech.cell(CellKind::Buffer);
+        assert_eq!((buf.width, buf.height), (40.0, 30.0));
+        let maj = tech.cell(CellKind::Majority3);
+        assert_eq!((maj.width, maj.height), (60.0, 70.0));
+    }
+
+    #[test]
+    fn total_jj_sums_kinds() {
+        let tech = Technology::mit_ll_sqf5ee();
+        assert_eq!(tech.cell(CellKind::Buffer).jj_count, 2);
+        assert_eq!(tech.cell(CellKind::Input).jj_count, 0);
+        let total = tech.total_jj([CellKind::Buffer, CellKind::Buffer, CellKind::Majority3]);
+        assert_eq!(total, 2 + 2 + 6);
+    }
+
+    #[test]
+    fn process_maps_to_registry_names() {
+        assert_eq!(Process::MitLl.tech_name(), "mit-ll-sqf5ee");
+        assert_eq!(Process::Stp2.tech_name(), "aist-stp2");
+        for process in [Process::MitLl, Process::Stp2] {
+            let registered = TechnologyRegistry::global().get(process.tech_name());
+            assert_eq!(registered.expect("registered").name, process.tech_name());
+        }
+    }
 
     #[test]
     fn builtins_are_valid_and_distinct() {

@@ -100,14 +100,16 @@ use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
 use aqfp_cells::{CancelToken, Technology};
+use aqfp_netlist::Netlist;
 use aqfp_place::ThreadBudget;
+use aqfp_verify::mutate;
 use serde::{Deserialize, Serialize};
 
 use crate::config::FlowConfig;
 use crate::error::FlowError;
 use crate::input::{design_name, load_design};
 use crate::report::{FlowReport, StageTimings};
-use crate::session::{Checked, FlowSession, FlowStage, Placed, Routed, Synthesized};
+use crate::session::{Artifact, FlowSession, FlowStage};
 
 /// One design in a batch: a display name and the input it loads from (a
 /// benchmark name or a netlist file path — see [`crate::input`]).
@@ -548,15 +550,6 @@ struct AttemptSuccess {
     timings: StageTimings,
 }
 
-/// The newest intact journal checkpoint a design resumes from.
-enum Resume {
-    None,
-    Synthesized(Synthesized),
-    Placed(Placed),
-    Routed(Routed),
-    Checked(Checked),
-}
-
 thread_local! {
     /// Set while an expected (fault-boundary) `catch_unwind` region runs on
     /// this worker, so the panic hook stays quiet: the payload is captured
@@ -773,14 +766,15 @@ impl BatchRunner {
     }
 
     /// One attempt at one design: resume from the newest intact journal
-    /// checkpoint (attempt 1 only), run the remaining stages inside the
-    /// fault boundary, checkpoint each, and write the final GDS.
+    /// checkpoint (attempt 1 only) or else load, lint and synthesize; then
+    /// run the remaining stages inside the fault boundary, checkpoint each,
+    /// and write the final GDS.
     fn run_attempt(
         &self,
         job: &BatchJob,
         flow: FlowConfig,
         technology: &Arc<Technology>,
-        attempt: usize,
+        number: usize,
         predicted: Option<&StageTimings>,
     ) -> Result<AttemptSuccess, StageFailure> {
         let mut session = FlowSession::with_technology(flow, Arc::clone(technology));
@@ -793,166 +787,46 @@ impl BatchRunner {
                 ))
             })?;
         }
+        let attempt =
+            Attempt { config: &self.config, design: &job.name, number, predicted, journal };
         // The degraded retry diagnoses "did the *flow* fail" — it always
         // recomputes from scratch rather than resuming the journal that may
         // itself be the problem (it still refreshes the checkpoints it
         // passes).
-        let resume = if attempt == 1 {
-            self.load_resume(journal.as_deref(), &session)?
-        } else {
-            Resume::None
-        };
-        let mut resumed_from = None;
-        let mut checkpoint_hits = 0;
+        let resumed = if number == 1 { attempt.load_resume(&session)? } else { None };
+        let resumed_from = resumed.as_ref().map(Artifact::stage);
+        // Stages are declared in execution order, so a resumed stage's
+        // position counts the stages the journal skips.
+        let checkpoint_hits = resumed_from.map_or(0, |stage| stage as usize + 1);
 
-        let checked = match resume {
-            Resume::Checked(checked) => {
-                resumed_from = Some(FlowStage::Check);
-                checkpoint_hits = 4;
-                checked
-            }
-            resume => {
-                let routed = match resume {
-                    Resume::Routed(routed) => {
-                        resumed_from = Some(FlowStage::Routing);
-                        checkpoint_hits = 3;
-                        routed
-                    }
-                    resume => {
-                        let placed = match resume {
-                            Resume::Placed(placed) => {
-                                resumed_from = Some(FlowStage::Placement);
-                                checkpoint_hits = 2;
-                                placed
-                            }
-                            resume => {
-                                let synthesized = match resume {
-                                    Resume::Synthesized(synthesized) => {
-                                        resumed_from = Some(FlowStage::Synthesis);
-                                        checkpoint_hits = 1;
-                                        synthesized
-                                    }
-                                    _ => {
-                                        let design = load_design(&job.input).map_err(|e| {
-                                            StageFailure::unattributed(error_chain(&e))
-                                        })?;
-                                        let netlist = design.netlist;
-                                        // Stage 0: pre-flight lint. An
-                                        // infeasible design is rejected here
-                                        // in milliseconds, before any stage
-                                        // engine runs.
-                                        let lint = session.lint(&netlist);
-                                        if lint.has_errors() {
-                                            return Err(StageFailure {
-                                                stage: Some(LINT_STAGE.to_owned()),
-                                                error: error_chain(&FlowError::Lint(lint)),
-                                            });
-                                        }
-                                        let mut synthesized = self.run_stage(
-                                            &mut session,
-                                            &job.name,
-                                            FlowStage::Synthesis,
-                                            attempt,
-                                            predicted,
-                                            |session| session.synthesize(&netlist),
-                                        )?;
-                                        if self.corrupt_fault_armed(
-                                            &job.name,
-                                            FlowStage::Synthesis,
-                                            attempt,
-                                        ) {
-                                            aqfp_verify::mutate::corrupt_netlist_gate(
-                                                &mut synthesized.synthesis.netlist,
-                                            );
-                                            self.corrupt_gate(
-                                                FlowStage::Synthesis,
-                                                session.verify_synthesized(&netlist, &synthesized),
-                                            )?;
-                                        }
-                                        self.write_checkpoint(
-                                            journal.as_deref(),
-                                            &job.name,
-                                            FlowStage::Synthesis,
-                                            attempt,
-                                            synthesized.to_json(),
-                                        )?;
-                                        synthesized
-                                    }
-                                };
-                                let mut placed = self.run_stage(
-                                    &mut session,
-                                    &job.name,
-                                    FlowStage::Placement,
-                                    attempt,
-                                    predicted,
-                                    |session| session.place(synthesized),
-                                )?;
-                                if self.corrupt_fault_armed(
-                                    &job.name,
-                                    FlowStage::Placement,
-                                    attempt,
-                                ) {
-                                    aqfp_verify::mutate::corrupt_design_phase(
-                                        &mut placed.placement.design,
-                                    );
-                                    self.corrupt_gate(
-                                        FlowStage::Placement,
-                                        session.verify_placed(&placed),
-                                    )?;
-                                }
-                                self.write_checkpoint(
-                                    journal.as_deref(),
-                                    &job.name,
-                                    FlowStage::Placement,
-                                    attempt,
-                                    placed.to_json(),
-                                )?;
-                                placed
-                            }
-                        };
-                        let mut routed = self.run_stage(
-                            &mut session,
-                            &job.name,
-                            FlowStage::Routing,
-                            attempt,
-                            predicted,
-                            |session| session.route(placed),
-                        )?;
-                        if self.corrupt_fault_armed(&job.name, FlowStage::Routing, attempt) {
-                            aqfp_verify::mutate::corrupt_routing(&mut routed.routing);
-                            self.corrupt_gate(FlowStage::Routing, session.verify_routed(&routed))?;
-                        }
-                        self.write_checkpoint(
-                            journal.as_deref(),
-                            &job.name,
-                            FlowStage::Routing,
-                            attempt,
-                            routed.to_json(),
-                        )?;
-                        routed
-                    }
-                };
-                let mut checked = self.run_stage(
-                    &mut session,
-                    &job.name,
-                    FlowStage::Check,
-                    attempt,
-                    predicted,
-                    |session| session.check(routed),
-                )?;
-                if self.corrupt_fault_armed(&job.name, FlowStage::Check, attempt) {
-                    aqfp_verify::mutate::corrupt_layout(&mut checked.layout);
-                    self.corrupt_gate(FlowStage::Check, session.verify_checked(&checked))?;
+        let (mut artifact, input) = match resumed {
+            Some(artifact) => (artifact, None),
+            None => {
+                let netlist = load_design(&job.input)
+                    .map_err(|e| StageFailure::unattributed(error_chain(&e)))?
+                    .netlist;
+                // Stage 0: pre-flight lint. An infeasible design is rejected
+                // here in milliseconds, before any stage engine runs.
+                let lint = session.lint(&netlist);
+                if lint.has_errors() {
+                    return Err(StageFailure {
+                        stage: Some(LINT_STAGE.to_owned()),
+                        error: error_chain(&FlowError::Lint(lint)),
+                    });
                 }
-                self.write_checkpoint(
-                    journal.as_deref(),
-                    &job.name,
-                    FlowStage::Check,
-                    attempt,
-                    checked.to_json(),
-                )?;
-                checked
+                let synthesized = attempt
+                    .run_stage(&mut session, FlowStage::Synthesis, |s| s.synthesize(&netlist))?;
+                let mut artifact = Artifact::Synthesized(synthesized);
+                attempt.settle(&session, Some(&netlist), &mut artifact)?;
+                (artifact, Some(netlist))
             }
+        };
+        while let Some(next) = artifact.stage().next() {
+            artifact = attempt.run_stage(&mut session, next, |s| s.advance(artifact))?;
+            attempt.settle(&session, input.as_ref(), &mut artifact)?;
+        }
+        let Artifact::Checked(checked) = artifact else {
+            unreachable!("the stage loop ends at the check stage")
         };
         session.set_cancel_token(CancelToken::none());
         let report = session.finish(checked);
@@ -960,23 +834,45 @@ impl BatchRunner {
         Ok(AttemptSuccess { resumed_from, checkpoint_hits, timings: report.stage_timings })
     }
 
+    /// Writes the final GDS to the output directory (atomically), when one
+    /// is configured.
+    fn write_gds(&self, design: &str, report: &FlowReport) -> Result<(), StageFailure> {
+        let Some(dir) = &self.config.output_dir else { return Ok(()) };
+        let path = dir.join(format!("{design}.gds"));
+        write_atomic(&path, &report.layout.to_gds_bytes())
+            .map_err(|e| StageFailure::unattributed(error_chain(&e)))
+    }
+}
+
+/// One attempt at one design: what every stage of it shares.
+struct Attempt<'a> {
+    config: &'a BatchConfig,
+    design: &'a str,
+    /// 1 for the first attempt, 2 for the degraded retry.
+    number: usize,
+    predicted: Option<&'a StageTimings>,
+    /// The design's journal directory, when journaling is on.
+    journal: Option<PathBuf>,
+}
+
+impl Attempt<'_> {
+    /// Whether an injected fault of `kind` fires at `stage`: faults fire on
+    /// the first attempt only.
+    fn fault(&self, stage: FlowStage, kind: FaultKind) -> bool {
+        self.number == 1 && self.config.faults.matches(self.design, stage, kind)
+    }
+
     /// The cancellation token a stage runs under: an injected zero
     /// deadline, the prediction-scaled slice of the configured stage
     /// budget, the flat budget when there is no forecast, or none. Without
     /// a configured `stage_timeout` a prediction never introduces a
     /// deadline on its own.
-    fn stage_token(
-        &self,
-        design: &str,
-        stage: FlowStage,
-        attempt: usize,
-        predicted: Option<&StageTimings>,
-    ) -> CancelToken {
-        if attempt == 1 && self.config.faults.matches(design, stage, FaultKind::ZeroDeadline) {
+    fn stage_token(&self, stage: FlowStage) -> CancelToken {
+        if self.fault(stage, FaultKind::ZeroDeadline) {
             return CancelToken::with_deadline(Duration::ZERO);
         }
         match self.config.stage_timeout {
-            Some(ceiling) => match predicted {
+            Some(ceiling) => match self.predicted {
                 Some(timings) => {
                     CancelToken::with_deadline(scaled_budget(ceiling, timings.get(stage)))
                 }
@@ -991,15 +887,11 @@ impl BatchRunner {
     fn run_stage<T>(
         &self,
         session: &mut FlowSession,
-        design: &str,
         stage: FlowStage,
-        attempt: usize,
-        predicted: Option<&StageTimings>,
         body: impl FnOnce(&mut FlowSession) -> Result<T, FlowError>,
     ) -> Result<T, StageFailure> {
-        session.set_cancel_token(self.stage_token(design, stage, attempt, predicted));
-        let inject_panic =
-            attempt == 1 && self.config.faults.matches(design, stage, FaultKind::Panic);
+        session.set_cancel_token(self.stage_token(stage));
+        let inject_panic = self.fault(stage, FaultKind::Panic);
         let result = catch_stage_panic(move || {
             if inject_panic {
                 panic!("injected fault: panic at the {stage} stage");
@@ -1023,84 +915,47 @@ impl BatchRunner {
         }
     }
 
-    /// Whether an artifact-corruption fault is planned here.
-    fn corrupt_fault_armed(&self, design: &str, stage: FlowStage, attempt: usize) -> bool {
-        attempt == 1 && self.config.faults.matches(design, stage, FaultKind::CorruptArtifact)
-    }
-
-    /// Fails at [`VERIFY_STAGE`] when a post-corruption verification report
-    /// carries errors. An injected corruption the verifier *misses* is also
-    /// a failure — a corrupt fault exists to prove the verifier catches it.
-    fn corrupt_gate(
+    /// Closes the fault boundary around a freshly computed artifact: fires
+    /// an injected corrupt fault, then journals the artifact. `input` is
+    /// the netlist the attempt synthesized, when it did.
+    fn settle(
         &self,
-        stage: FlowStage,
-        report: aqfp_verify::VerifyReport,
+        session: &FlowSession,
+        input: Option<&Netlist>,
+        artifact: &mut Artifact,
     ) -> Result<(), StageFailure> {
-        if report.has_errors() {
-            Err(StageFailure {
-                stage: Some(VERIFY_STAGE.to_owned()),
-                error: error_chain(&FlowError::Verify(report)),
-            })
-        } else {
-            Err(StageFailure {
-                stage: Some(VERIFY_STAGE.to_owned()),
-                error: format!(
-                    "injected corrupt fault at the {stage} stage was not detected by \
-                     post-stage verification"
-                ),
-            })
+        let stage = artifact.stage();
+        if self.fault(stage, FaultKind::CorruptArtifact) {
+            return Err(corrupt(session, input, artifact));
         }
+        self.write_checkpoint(stage, artifact)
     }
 
     /// Journals a stage artifact (atomically), applying the truncation
-    /// fault when one is planned.
-    fn write_checkpoint(
-        &self,
-        journal: Option<&Path>,
-        design: &str,
-        stage: FlowStage,
-        attempt: usize,
-        json: Result<String, FlowError>,
-    ) -> Result<(), StageFailure> {
-        let Some(dir) = journal else { return Ok(()) };
-        let attribute = |error: String| StageFailure::at(stage, error);
-        let json = json.map_err(|e| attribute(error_chain(&e)))?;
+    /// fault when one is planned. Without a journal nothing is encoded.
+    fn write_checkpoint(&self, stage: FlowStage, artifact: &Artifact) -> Result<(), StageFailure> {
+        let Some(dir) = &self.journal else { return Ok(()) };
+        let attribute = |error: FlowError| StageFailure::at(stage, error_chain(&error));
+        let json = artifact.to_json().map_err(attribute)?;
         let path = dir.join(checkpoint_file(stage));
-        write_atomic(&path, json.as_bytes()).map_err(|e| attribute(error_chain(&e)))?;
-        if attempt == 1 && self.config.faults.matches(design, stage, FaultKind::TruncateCheckpoint)
-        {
+        write_atomic(&path, json.as_bytes()).map_err(attribute)?;
+        if self.fault(stage, FaultKind::TruncateCheckpoint) {
             // Simulate a torn write (the atomic rename protocol prevents
             // real ones): the *next* run over this journal must detect the
             // damage instead of resuming garbage.
             let half = json.len() / 2;
-            write_atomic(&path, &json.as_bytes()[..half])
-                .map_err(|e| attribute(error_chain(&e)))?;
+            write_atomic(&path, &json.as_bytes()[..half]).map_err(attribute)?;
         }
         Ok(())
     }
 
-    /// Writes the final GDS to the output directory (atomically), when one
-    /// is configured.
-    fn write_gds(&self, design: &str, report: &FlowReport) -> Result<(), StageFailure> {
-        let Some(dir) = &self.config.output_dir else { return Ok(()) };
-        let path = dir.join(format!("{design}.gds"));
-        write_atomic(&path, &report.layout.to_gds_bytes())
-            .map_err(|e| StageFailure::unattributed(error_chain(&e)))
-    }
-
-    /// Finds the newest intact checkpoint in a design's journal. A
+    /// Finds the newest intact checkpoint in the design's journal. A
     /// checkpoint that exists but fails to read, parse, validate, or match
     /// the session's technology fails the attempt — resuming a damaged
     /// journal silently would defeat the byte-identity guarantee.
-    fn load_resume(
-        &self,
-        journal: Option<&Path>,
-        session: &FlowSession,
-    ) -> Result<Resume, StageFailure> {
-        let Some(dir) = journal else { return Ok(Resume::None) };
-        for stage in
-            [FlowStage::Check, FlowStage::Routing, FlowStage::Placement, FlowStage::Synthesis]
-        {
+    fn load_resume(&self, session: &FlowSession) -> Result<Option<Artifact>, StageFailure> {
+        let Some(dir) = &self.journal else { return Ok(None) };
+        for stage in FlowStage::ALL.into_iter().rev() {
             let path = dir.join(checkpoint_file(stage));
             let text = match std::fs::read_to_string(&path) {
                 Ok(text) => text,
@@ -1115,30 +970,58 @@ impl BatchRunner {
             let located = |e: FlowError| {
                 StageFailure::at(stage, format!("`{}`: {}", path.display(), error_chain(&e)))
             };
-            let resume = match stage {
-                FlowStage::Synthesis => {
-                    Resume::Synthesized(Synthesized::from_json(&text).map_err(located)?)
-                }
-                FlowStage::Placement => Resume::Placed(Placed::from_json(&text).map_err(located)?),
-                FlowStage::Routing => Resume::Routed(Routed::from_json(&text).map_err(located)?),
-                FlowStage::Check => {
-                    let checked = Checked::from_json(&text).map_err(located)?;
-                    // Later stages verify fingerprints themselves when they
-                    // consume an artifact; a check-stage resume runs no
-                    // further stage, so the mismatch must be caught here.
-                    if checked.tech_fingerprint() != session.tech_fingerprint() {
-                        return Err(located(FlowError::TechnologyMismatch {
-                            expected: session.tech_fingerprint().to_owned(),
-                            found: checked.tech_fingerprint().to_owned(),
-                        }));
-                    }
-                    Resume::Checked(checked)
-                }
-            };
-            return Ok(resume);
+            let artifact = Artifact::from_json(stage, &text).map_err(located)?;
+            if artifact.tech_fingerprint() != session.tech_fingerprint() {
+                return Err(located(FlowError::TechnologyMismatch {
+                    expected: session.tech_fingerprint().to_owned(),
+                    found: artifact.tech_fingerprint().to_owned(),
+                }));
+            }
+            return Ok(Some(artifact));
         }
-        Ok(Resume::None)
+        Ok(None)
     }
+}
+
+/// Damages a fresh artifact the way an injected corrupt fault does and
+/// re-verifies it. The result is always a failure at [`VERIFY_STAGE`]: the
+/// verifier's findings, or — when it misses the damage — a report that it
+/// did, since a corrupt fault exists to prove the verifier catches it.
+fn corrupt(
+    session: &FlowSession,
+    input: Option<&Netlist>,
+    artifact: &mut Artifact,
+) -> StageFailure {
+    let stage = artifact.stage();
+    let report = match artifact {
+        Artifact::Synthesized(synthesized) => {
+            mutate::corrupt_netlist_gate(&mut synthesized.synthesis.netlist);
+            // Synthesis only ever runs from a loaded netlist.
+            let input = input.expect("a freshly synthesized artifact has its input netlist");
+            session.verify_synthesized(input, synthesized)
+        }
+        Artifact::Placed(placed) => {
+            mutate::corrupt_design_phase(&mut placed.placement.design);
+            session.verify_placed(placed)
+        }
+        Artifact::Routed(routed) => {
+            mutate::corrupt_routing(&mut routed.routing);
+            session.verify_routed(routed)
+        }
+        Artifact::Checked(checked) => {
+            mutate::corrupt_layout(&mut checked.layout);
+            session.verify_checked(checked)
+        }
+    };
+    let error = if report.has_errors() {
+        error_chain(&FlowError::Verify(report))
+    } else {
+        format!(
+            "injected corrupt fault at the {stage} stage was not detected by post-stage \
+             verification"
+        )
+    };
+    StageFailure { stage: Some(VERIFY_STAGE.to_owned()), error }
 }
 
 /// Safety margin a predicted stage time is multiplied by to become that

@@ -173,9 +173,9 @@ use aqfp_place::PlacerKind;
 use superflow::lint::RuleInfo;
 use superflow::verify::{mutate, Defect};
 use superflow::{
-    error_chain, BatchConfig, BatchJob, BatchRunner, Checked, Fault, FaultPlan, Flow, FlowConfig,
-    FlowObserver, FlowReport, FlowSession, FlowStage, LintConfig, LintReport, Placed,
-    PredictReport, RepairScope, Routed, Synthesized, TechSpec, VerifyConfig, VerifyReport,
+    error_chain, Artifact, BatchConfig, BatchJob, BatchRunner, Fault, FaultPlan, FlowConfig,
+    FlowObserver, FlowReport, FlowSession, FlowStage, LintConfig, LintReport, PredictReport,
+    RepairScope, Routed, Synthesized, TechSpec, VerifyConfig, VerifyReport,
 };
 
 /// Exit code for usage errors (bad flags, malformed specs).
@@ -399,7 +399,7 @@ impl Args {
 #[derive(Debug)]
 enum Command {
     Help,
-    Flow(FlowOptions),
+    Run(FlowOptions),
     Batch(Box<BatchOptions>),
     Lint(ReportOptions),
     Predict(ReportOptions),
@@ -640,7 +640,7 @@ fn parse_cli(args: &[String]) -> Result<Command, String> {
     let rest = &args[command.split_whitespace().count()..];
     let Some(args) = Args::scan(rest, accepted)? else { return Ok(Command::Help) };
     Ok(match command {
-        "" => Command::Flow(FlowOptions::parse(&args)?),
+        "" => Command::Run(FlowOptions::parse(&args)?),
         "batch" => Command::Batch(Box::new(BatchOptions::parse(&args)?)),
         "lint" => Command::Lint(ReportOptions::parse(&args, command)?),
         "predict" => Command::Predict(ReportOptions::parse(&args, command)?),
@@ -723,7 +723,7 @@ fn main() -> ExitCode {
             outln!("{}", usage());
             Ok(ExitCode::SUCCESS)
         }
-        Command::Flow(options) => run_flow_cli(options),
+        Command::Run(options) => run_flow_cli(options),
         Command::Batch(options) => run_batch_cli(options),
         Command::Lint(options) => run_reports(options, superflow::lint::catalog, || {
             let flow = options.flow.config();
@@ -776,15 +776,13 @@ impl FlowObserver for StageLog {
 enum Outcome {
     /// The whole pipeline ran.
     Complete(Box<FlowReport>),
-    /// `--stop-after` ended the run early; the checkpoint JSON is only
-    /// rendered when `--report` asks for it.
-    Stopped { stage: FlowStage, summary: String, checkpoint: Option<String> },
+    /// `--stop-after` ended the run early, at this artifact.
+    Stopped(Box<Artifact>),
 }
 
 fn run(options: &FlowOptions) -> Result<Outcome, String> {
     let netlist = load_netlist(&options.input)?;
-    let flow = Flow::with_config(options.flow.config());
-    let mut session = flow.session().map_err(|e| error_chain(&e))?;
+    let mut session = FlowSession::new(options.flow.config()).map_err(|e| error_chain(&e))?;
     if !options.quiet {
         outln!(
             "[{:<9}] technology {} ({})",
@@ -794,85 +792,83 @@ fn run(options: &FlowOptions) -> Result<Outcome, String> {
         );
         session.add_observer(Box::new(StageLog));
     }
+    let last = options.stop_after.unwrap_or(FlowStage::Check);
+    Ok(match run_until(&mut session, &netlist, last)? {
+        Artifact::Checked(checked) if options.stop_after.is_none() => {
+            Outcome::Complete(Box::new(session.finish(checked)))
+        }
+        artifact => Outcome::Stopped(Box::new(artifact)),
+    })
+}
 
-    let synthesized = session.synthesize(&netlist).map_err(|e| error_chain(&e))?;
-    if options.stop_after == Some(FlowStage::Synthesis) {
-        let stats = synthesized.stats();
-        let summary = format!(
-            "{}: {} JJs / {} nets / {} phases after synthesis",
-            synthesized.design_name, stats.jj_count, stats.net_count, stats.delay
-        );
-        return stopped(options, FlowStage::Synthesis, summary, || synthesized.to_json());
+/// Runs the flow on `netlist` through the `last` stage and returns that
+/// stage's artifact.
+fn run_until(
+    session: &mut FlowSession,
+    netlist: &Netlist,
+    last: FlowStage,
+) -> Result<Artifact, String> {
+    let chain = |e: superflow::FlowError| error_chain(&e);
+    let mut artifact = Artifact::Synthesized(session.synthesize(netlist).map_err(chain)?);
+    while artifact.stage() != last {
+        artifact = session.advance(artifact).map_err(chain)?;
     }
+    Ok(artifact)
+}
 
-    let placed = session.place(synthesized).map_err(|e| error_chain(&e))?;
-    if options.stop_after == Some(FlowStage::Placement) {
-        let summary = format!(
+/// The line `--stop-after` prints about the artifact it stopped at.
+fn stage_summary(artifact: &Artifact) -> String {
+    match artifact {
+        Artifact::Synthesized(synthesized) => {
+            let stats = synthesized.stats();
+            format!(
+                "{}: {} JJs / {} nets / {} phases after synthesis",
+                synthesized.design_name, stats.jj_count, stats.net_count, stats.delay
+            )
+        }
+        Artifact::Placed(placed) => format!(
             "{}: HPWL {:.0} µm, {} buffer lines, WNS {}",
             placed.synthesized.design_name,
             placed.placement.hpwl_um,
             placed.placement.buffer_lines,
             placed.placement.wns_display()
-        );
-        return stopped(options, FlowStage::Placement, summary, || placed.to_json());
+        ),
+        Artifact::Routed(routed) => {
+            let stats = &routed.routing.stats;
+            format!(
+                "{}: routed {} nets, {:.0} µm, {} vias",
+                routed.placed.synthesized.design_name,
+                stats.nets_routed,
+                stats.total_wirelength_um,
+                stats.total_vias
+            )
+        }
+        Artifact::Checked(checked) => {
+            let drc = if checked.drc.is_clean() {
+                "clean".to_owned()
+            } else {
+                format!("{} violations", checked.drc.violations.len())
+            };
+            format!(
+                "{}: DRC {drc} after {} repair iteration(s)",
+                checked.routed.placed.synthesized.design_name, checked.drc_iterations
+            )
+        }
     }
-
-    let routed = session.route(placed).map_err(|e| error_chain(&e))?;
-    if options.stop_after == Some(FlowStage::Routing) {
-        let stats = &routed.routing.stats;
-        let summary = format!(
-            "{}: routed {} nets, {:.0} µm, {} vias",
-            routed.placed.synthesized.design_name,
-            stats.nets_routed,
-            stats.total_wirelength_um,
-            stats.total_vias
-        );
-        return stopped(options, FlowStage::Routing, summary, || routed.to_json());
-    }
-
-    let checked = session.check(routed).map_err(|e| error_chain(&e))?;
-    if options.stop_after == Some(FlowStage::Check) {
-        let drc = if checked.drc.is_clean() {
-            "clean".to_owned()
-        } else {
-            format!("{} violations", checked.drc.violations.len())
-        };
-        let summary = format!(
-            "{}: DRC {drc} after {} repair iteration(s)",
-            checked.routed.placed.synthesized.design_name, checked.drc_iterations
-        );
-        return stopped(options, FlowStage::Check, summary, || checked.to_json());
-    }
-
-    Ok(Outcome::Complete(Box::new(session.finish(checked))))
-}
-
-/// `--stop-after` ended the run at `stage`; the checkpoint is rendered only
-/// when `--report` asks for it.
-fn stopped(
-    options: &FlowOptions,
-    stage: FlowStage,
-    summary: String,
-    to_json: impl FnOnce() -> Result<String, superflow::FlowError>,
-) -> Result<Outcome, String> {
-    let checkpoint = match options.report {
-        Some(_) => Some(to_json().map_err(|e| error_chain(&e))?),
-        None => None,
-    };
-    Ok(Outcome::Stopped { stage, summary, checkpoint })
 }
 
 fn run_flow_cli(options: &FlowOptions) -> Result<ExitCode, String> {
     let report = match run(options)? {
         Outcome::Complete(report) => report,
-        Outcome::Stopped { stage, summary, checkpoint } => {
-            outln!("{summary}");
-            match (&options.report, checkpoint) {
-                (Some(path), Some(json)) => {
-                    write_file(path, json)?;
+        Outcome::Stopped(artifact) => {
+            outln!("{}", stage_summary(&artifact));
+            let stage = artifact.stage();
+            match &options.report {
+                Some(path) => {
+                    write_file(path, artifact.to_json().map_err(|e| error_chain(&e))?)?;
                     outln!("stopped after {stage}; checkpoint written to {path}");
                 }
-                _ => outln!("stopped after {stage} (pass --report to keep a checkpoint)"),
+                None => outln!("stopped after {stage} (pass --report to keep a checkpoint)"),
             }
             return Ok(ExitCode::SUCCESS);
         }
@@ -1156,12 +1152,11 @@ fn verify_gds_input(
             .ok_or_else(|| format!("cannot infer a design name from `{input}`"))?,
     };
     let netlist = load_netlist(&spec)?;
-    let flow = Flow::with_config(config.clone());
-    let mut session = flow.session().map_err(|e| error_chain(&e))?;
-    let synthesized = session.synthesize(&netlist).map_err(|e| error_chain(&e))?;
-    let placed = session.place(synthesized).map_err(|e| error_chain(&e))?;
-    let routed = session.route(placed).map_err(|e| error_chain(&e))?;
-    let mut checked = session.check(routed).map_err(|e| error_chain(&e))?;
+    let mut session = FlowSession::new(config.clone()).map_err(|e| error_chain(&e))?;
+    let Artifact::Checked(mut checked) = run_until(&mut session, &netlist, FlowStage::Check)?
+    else {
+        unreachable!("the run stops at the check stage")
+    };
     inject_routed_defect(options, &mut checked.routed, input)?;
     let mut report = session.verify_synthesized(&netlist, &checked.routed.placed.synthesized);
     report.merge(session.verify_routed(&checked.routed));
@@ -1186,8 +1181,7 @@ fn verify_checkpoint_input(
     config: &FlowConfig,
 ) -> Result<VerifyReport, String> {
     let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read `{input}`: {e}"))?;
-    let flow = Flow::with_config(config.clone());
-    let session = flow.session().map_err(|e| error_chain(&e))?;
+    let session = FlowSession::new(config.clone()).map_err(|e| error_chain(&e))?;
     // Adds LEC against the original input when it resolves.
     let with_lec = |mut report: VerifyReport, synthesized: &Synthesized| {
         if let Some(netlist) = lec_input(options, &synthesized.design_name, false)? {
@@ -1196,52 +1190,61 @@ fn verify_checkpoint_input(
         Ok::<_, String>(report)
     };
 
-    let mut report = if let Ok(mut checked) = Checked::from_json(&text) {
-        ensure_artifact_technology(&session, checked.tech_fingerprint(), input)?;
-        inject_routed_defect(options, &mut checked.routed, input)?;
-        with_lec(session.verify_checked(&checked), &checked.routed.placed.synthesized)?
-    } else if let Ok(mut routed) = Routed::from_json(&text) {
-        ensure_artifact_technology(&session, routed.tech_fingerprint(), input)?;
-        inject_routed_defect(options, &mut routed, input)?;
-        with_lec(session.verify_routed(&routed), &routed.placed.synthesized)?
-    } else if let Ok(mut placed) = Placed::from_json(&text) {
-        ensure_artifact_technology(&session, placed.tech_fingerprint(), input)?;
-        if let Some(defect) = options.inject {
-            if defect != Defect::Phase {
+    // Newest stage first: each stage's decoder rejects the others'
+    // checkpoints.
+    let artifact = FlowStage::ALL
+        .into_iter()
+        .rev()
+        .find_map(|stage| Artifact::from_json(stage, &text).ok())
+        .ok_or_else(|| {
+            format!(
+                "`{input}` is not a stage checkpoint this version can read (expected the JSON \
+                 written by --stop-after/--journal for the synthesis, placement, routing or \
+                 check stage)"
+            )
+        })?;
+    ensure_artifact_technology(&session, artifact.tech_fingerprint(), input)?;
+    let mut report = match artifact {
+        Artifact::Checked(mut checked) => {
+            inject_routed_defect(options, &mut checked.routed, input)?;
+            with_lec(session.verify_checked(&checked), &checked.routed.placed.synthesized)?
+        }
+        Artifact::Routed(mut routed) => {
+            inject_routed_defect(options, &mut routed, input)?;
+            with_lec(session.verify_routed(&routed), &routed.placed.synthesized)?
+        }
+        Artifact::Placed(mut placed) => {
+            if let Some(defect) = options.inject {
+                if defect != Defect::Phase {
+                    return Err(format!(
+                        "--inject-defect {} needs a routed artifact; `{input}` stops at placement",
+                        defect.name()
+                    ));
+                }
+                let net = mutate::corrupt_design_phase(&mut placed.placement.design)
+                    .ok_or_else(|| "the design is too small to inject a phase defect".to_owned())?;
+                eprintln!(
+                    "note: injected phase defect into `{input}`: repointed a sink of net n{net} \
+                     two phases past its driver"
+                );
+            }
+            with_lec(session.verify_placed(&placed), &placed.synthesized)?
+        }
+        Artifact::Synthesized(synthesized) => {
+            if let Some(defect) = options.inject {
                 return Err(format!(
-                    "--inject-defect {} needs a routed artifact; `{input}` stops at placement",
+                    "--inject-defect {} needs a placed artifact; `{input}` stops at synthesis",
                     defect.name()
                 ));
             }
-            let net = mutate::corrupt_design_phase(&mut placed.placement.design)
-                .ok_or_else(|| "the design is too small to inject a phase defect".to_owned())?;
-            eprintln!(
-                "note: injected phase defect into `{input}`: repointed a sink of net n{net} two \
-                 phases past its driver"
-            );
+            // LEC is the only verifier that applies at this stage, so an
+            // unresolvable input is an error: a report with no checks run
+            // would read as a pass.
+            let Some(netlist) = lec_input(options, &synthesized.design_name, true)? else {
+                unreachable!("required lec_input returns Some or errors")
+            };
+            session.verify_synthesized(&netlist, &synthesized)
         }
-        with_lec(session.verify_placed(&placed), &placed.synthesized)?
-    } else if let Ok(synthesized) = Synthesized::from_json(&text) {
-        ensure_artifact_technology(&session, &synthesized.tech_fingerprint, input)?;
-        if let Some(defect) = options.inject {
-            return Err(format!(
-                "--inject-defect {} needs a placed artifact; `{input}` stops at synthesis",
-                defect.name()
-            ));
-        }
-        // LEC is the only verifier that applies at this stage, so an
-        // unresolvable input is an error: a report with no checks run
-        // would read as a pass.
-        let Some(netlist) = lec_input(options, &synthesized.design_name, true)? else {
-            unreachable!("required lec_input returns Some or errors")
-        };
-        session.verify_synthesized(&netlist, &synthesized)
-    } else {
-        return Err(format!(
-            "`{input}` is not a stage checkpoint this version can read (expected the JSON \
-             written by --stop-after/--journal for the synthesis, placement, routing or check \
-             stage)"
-        ));
     };
     report.normalize();
     Ok(report)
@@ -1381,7 +1384,7 @@ mod parse_helpers {
         };
     }
 
-    entry_point!(parse_flow, [], Flow, FlowOptions);
+    entry_point!(parse_flow, [], Run, FlowOptions);
     entry_point!(parse_batch, ["batch"], Batch, Box<BatchOptions>);
     entry_point!(parse_lint, ["lint"], Lint, ReportOptions);
     entry_point!(parse_predict, ["predict"], Predict, ReportOptions);
@@ -1491,7 +1494,7 @@ mod tests {
         let options = parse_flow(&["--fast", "--quiet", "adder8"]).expect("parses");
         match run(&options).expect("flow runs") {
             Outcome::Complete(report) => assert_eq!(report.design_name, "adder8"),
-            Outcome::Stopped { .. } => panic!("no --stop-after given"),
+            Outcome::Stopped(_) => panic!("no --stop-after given"),
         }
     }
 
@@ -1508,9 +1511,9 @@ mod tests {
         ])
         .expect("parses");
         match run(&options).expect("flow runs") {
-            Outcome::Stopped { stage, checkpoint, .. } => {
-                assert_eq!(stage, FlowStage::Placement);
-                let json = checkpoint.expect("--report requests a checkpoint");
+            Outcome::Stopped(artifact) => {
+                assert_eq!(artifact.stage(), FlowStage::Placement);
+                let json = artifact.to_json().expect("the checkpoint serializes");
                 let placed = superflow::Placed::from_json(&json).expect("checkpoint parses");
                 assert_eq!(placed.synthesized.design_name, "adder8");
             }
@@ -1651,7 +1654,7 @@ mod tests {
                     stock.placement.buffer_lines
                 );
             }
-            Outcome::Stopped { .. } => panic!("no --stop-after given"),
+            Outcome::Stopped(_) => panic!("no --stop-after given"),
         }
     }
 }
@@ -1936,9 +1939,9 @@ mod verify_cli_tests {
         let dir = std::env::temp_dir().join("superflow_cli_verify_gds");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("adder8.gds");
-        let flow = Flow::with_config(FlowConfig::fast());
-        let report =
-            flow.run_benchmark(aqfp_netlist::generators::Benchmark::Adder8).expect("flow runs");
+        let report = FlowSession::new(FlowConfig::fast())
+            .and_then(|mut session| session.run(&load_netlist("adder8").unwrap()))
+            .expect("flow runs");
         std::fs::write(&path, report.layout.to_gds_bytes()).expect("writes");
         let path = path.to_str().expect("utf-8 path");
 
@@ -1979,11 +1982,10 @@ mod verify_cli_tests {
             "adder8",
         ])
         .expect("parses");
-        let Outcome::Stopped { checkpoint: Some(json), .. } = run(&options).expect("flow runs")
-        else {
+        let Outcome::Stopped(artifact) = run(&options).expect("flow runs") else {
             panic!("--stop-after placement must yield a checkpoint")
         };
-        std::fs::write(&path, json).expect("writes");
+        std::fs::write(&path, artifact.to_json().expect("serializes")).expect("writes");
         let path = path.to_str().expect("utf-8 path");
 
         let options = parse_verify(&["--fast", "--against", "adder8", path]).expect("parses");

@@ -11,11 +11,10 @@
 //! # Quick start
 //!
 //! ```
-//! use aqfp_netlist::generators::Benchmark;
-//! use superflow::{Flow, FlowConfig};
+//! use aqfp_netlist::generators::{benchmark_circuit, Benchmark};
+//! use superflow::{FlowConfig, FlowSession};
 //!
-//! let flow = Flow::with_config(FlowConfig::fast());
-//! let report = flow.run_benchmark(Benchmark::Adder8)?;
+//! let report = FlowSession::new(FlowConfig::fast())?.run(&benchmark_circuit(Benchmark::Adder8))?;
 //! println!(
 //!     "{}: {} JJs, HPWL {:.0} µm, WNS {}, DRC clean: {}",
 //!     report.design_name,
@@ -29,16 +28,22 @@
 //! # Ok::<(), superflow::FlowError>(())
 //! ```
 //!
+//! Text inputs go through the netlist parsers first
+//! (`aqfp_netlist::parsers::parse_verilog` / `parse_blif`), or through
+//! [`load_netlist`], which also resolves benchmark names.
+//!
 //! # Staged sessions
 //!
-//! [`Flow::run`] is a thin wrapper over the staged [`FlowSession`] API:
-//! each stage returns a typed, inspectable artifact
+//! [`FlowSession::run`] drives the same stages a caller can run one at a
+//! time: each stage returns a typed, inspectable artifact
 //! ([`Synthesized`] → [`Placed`] → [`Routed`] → [`Checked`]) that
-//! serializes to a resumable JSON checkpoint, observers
-//! ([`FlowObserver`]) watch stage boundaries and DRC-repair iterations, and
-//! per-stage wall-clock timings land in [`FlowReport::stage_timings`]. The
-//! DRC-repair loop is incremental: only the channels whose cells actually
-//! moved are rerouted (see [`session`]).
+//! serializes to a resumable JSON checkpoint. [`Artifact`] holds any one of
+//! them, and [`FlowSession::advance`] runs the next stage, so stopping
+//! after a stage and resuming from a checkpoint use the same loop as a full
+//! run. Observers ([`FlowObserver`]) watch stage boundaries and DRC-repair
+//! iterations, and per-stage wall-clock timings land in
+//! [`FlowReport::stage_timings`]. The DRC-repair loop is incremental: only
+//! the channels whose cells actually moved are rerouted (see [`session`]).
 //!
 //! # Batch runs
 //!
@@ -111,7 +116,6 @@
 pub mod batch;
 pub mod config;
 pub mod error;
-pub mod flow;
 pub mod input;
 pub mod report;
 pub mod session;
@@ -122,12 +126,11 @@ pub use batch::{
 };
 pub use config::{FlowConfig, TechSpec};
 pub use error::FlowError;
-pub use flow::Flow;
 pub use input::{load_design, load_netlist};
 pub use report::{FlowReport, StageTimings};
 pub use session::{
-    lint_design, Checked, FlowObserver, FlowSession, FlowStage, Placed, RepairScope, Routed,
-    Synthesized,
+    lint_design, Artifact, Checked, FlowObserver, FlowSession, FlowStage, Placed, RepairScope,
+    Routed, Synthesized,
 };
 
 // Re-export the stage crates so downstream users can depend on `superflow`

@@ -1,7 +1,7 @@
-//! The staged flow driver: one session, four inspectable stages.
+//! The flow driver: one session, four inspectable stages, one stage order.
 //!
-//! [`FlowSession`] decomposes the push-button [`Flow`](crate::Flow) pipeline
-//! (Fig. 3 of the paper) into explicit, resumable stages:
+//! [`FlowSession`] runs the RTL-to-GDS pipeline of Fig. 3 of the paper as
+//! explicit, resumable stages:
 //!
 //! ```text
 //! synthesize() → Synthesized
@@ -10,6 +10,11 @@
 //!     check()  → Checked       (DRC + incremental violation repair + layout)
 //!     finish() → FlowReport
 //! ```
+//!
+//! The stage order lives in [`FlowStage::next`]. [`FlowSession::advance`]
+//! runs the stage after any [`Artifact`], and [`FlowSession::run`] advances
+//! a synthesized netlist to the end: full runs, `--stop-after`, checkpoint
+//! resume and the batch driver all share this one loop.
 //!
 //! Each stage returns a typed artifact that is **inspectable** (public
 //! fields), **serializable** (`to_json`/`from_json` checkpoints) and
@@ -45,20 +50,24 @@
 //!
 //! ```
 //! use aqfp_netlist::generators::{benchmark_circuit, Benchmark};
-//! use superflow::{FlowConfig, FlowSession};
+//! use superflow::{Artifact, FlowConfig, FlowSession, FlowStage};
 //!
+//! let netlist = benchmark_circuit(Benchmark::Adder8);
+//!
+//! // End to end in one call.
+//! let report = FlowSession::new(FlowConfig::fast())?.run(&netlist)?;
+//! assert!(report.stage_timings.total_s() > 0.0);
+//!
+//! // Or one stage at a time, checkpointing after placement.
 //! let mut session = FlowSession::new(FlowConfig::fast())?;
-//! let synthesized = session.synthesize(&benchmark_circuit(Benchmark::Adder8))?;
+//! let synthesized = session.synthesize(&netlist)?;
 //! println!("{} JJs after synthesis", synthesized.stats().jj_count);
-//!
-//! let placed = session.place(synthesized)?;
+//! let placed = session.advance(Artifact::Synthesized(synthesized))?;
 //! let checkpoint = placed.to_json()?; // resumable JSON snapshot
 //!
-//! let routed = session.route(placed)?;
-//! let checked = session.check(routed)?;
-//! let report = session.finish(checked);
-//! assert!(report.stage_timings.total_s() > 0.0);
-//! # let _ = checkpoint;
+//! let resumed = Artifact::from_json(FlowStage::Placement, &checkpoint)?;
+//! let routed = session.advance(resumed)?;
+//! assert_eq!(routed.stage(), FlowStage::Routing);
 //! # Ok::<(), superflow::FlowError>(())
 //! ```
 
@@ -117,6 +126,17 @@ impl FlowStage {
     /// `name`, used by the CLI (`--stop-after`, `--fault` specs).
     pub fn parse(name: &str) -> Option<FlowStage> {
         FlowStage::ALL.into_iter().find(|stage| stage.name() == name)
+    }
+
+    /// The stage that runs after this one; `None` after the check stage.
+    /// This is the one place the pipeline order is written down.
+    pub fn next(self) -> Option<FlowStage> {
+        match self {
+            FlowStage::Synthesis => Some(FlowStage::Placement),
+            FlowStage::Placement => Some(FlowStage::Routing),
+            FlowStage::Routing => Some(FlowStage::Check),
+            FlowStage::Check => None,
+        }
     }
 }
 
@@ -232,11 +252,6 @@ pub struct Synthesized {
 }
 
 impl Synthesized {
-    /// The stage this artifact completes.
-    pub fn stage(&self) -> FlowStage {
-        FlowStage::Synthesis
-    }
-
     /// Synthesis statistics: #JJs, #Nets, #Delay (Table II).
     pub fn stats(&self) -> &NetlistStats {
         &self.synthesis.stats
@@ -284,11 +299,6 @@ pub struct Placed {
 }
 
 impl Placed {
-    /// The stage this artifact completes.
-    pub fn stage(&self) -> FlowStage {
-        FlowStage::Placement
-    }
-
     /// Fingerprint of the technology the artifact was produced under.
     pub fn tech_fingerprint(&self) -> &str {
         &self.synthesized.tech_fingerprint
@@ -343,11 +353,6 @@ pub struct Routed {
 }
 
 impl Routed {
-    /// The stage this artifact completes.
-    pub fn stage(&self) -> FlowStage {
-        FlowStage::Routing
-    }
-
     /// Fingerprint of the technology the artifact was produced under.
     pub fn tech_fingerprint(&self) -> &str {
         self.placed.tech_fingerprint()
@@ -446,11 +451,6 @@ pub struct Checked {
 }
 
 impl Checked {
-    /// The stage this artifact completes.
-    pub fn stage(&self) -> FlowStage {
-        FlowStage::Check
-    }
-
     /// Fingerprint of the technology the artifact was produced under.
     pub fn tech_fingerprint(&self) -> &str {
         self.routed.tech_fingerprint()
@@ -478,13 +478,80 @@ impl Checked {
     }
 }
 
+/// The artifact of whichever stage a flow has completed: what
+/// [`FlowSession::advance`] consumes and returns, and what a checkpoint of
+/// any stage decodes to. Each variant's codec is the typed artifact's own,
+/// so checkpoint bytes do not depend on which API wrote them.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Artifact {
+    /// The synthesis-stage artifact.
+    Synthesized(Synthesized),
+    /// The placement-stage artifact.
+    Placed(Placed),
+    /// The routing-stage artifact.
+    Routed(Routed),
+    /// The check-stage artifact, the last one.
+    Checked(Checked),
+}
+
+impl Artifact {
+    /// The stage this artifact completes.
+    pub fn stage(&self) -> FlowStage {
+        match self {
+            Artifact::Synthesized(_) => FlowStage::Synthesis,
+            Artifact::Placed(_) => FlowStage::Placement,
+            Artifact::Routed(_) => FlowStage::Routing,
+            Artifact::Checked(_) => FlowStage::Check,
+        }
+    }
+
+    /// Fingerprint of the technology the artifact was produced under.
+    pub fn tech_fingerprint(&self) -> &str {
+        match self {
+            Artifact::Synthesized(synthesized) => &synthesized.tech_fingerprint,
+            Artifact::Placed(placed) => placed.tech_fingerprint(),
+            Artifact::Routed(routed) => routed.tech_fingerprint(),
+            Artifact::Checked(checked) => checked.tech_fingerprint(),
+        }
+    }
+
+    /// Serializes the artifact to its stage's JSON checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::Checkpoint`] if serialization fails.
+    pub fn to_json(&self) -> Result<String, FlowError> {
+        match self {
+            Artifact::Synthesized(synthesized) => synthesized.to_json(),
+            Artifact::Placed(placed) => placed.to_json(),
+            Artifact::Routed(routed) => routed.to_json(),
+            Artifact::Checked(checked) => checked.to_json(),
+        }
+    }
+
+    /// Restores the artifact of `stage` from its JSON checkpoint. A
+    /// checkpoint of any other stage fails to decode.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::Checkpoint`] for malformed (truncated, corrupt,
+    /// semantically inconsistent or other-stage) checkpoints.
+    pub fn from_json(stage: FlowStage, text: &str) -> Result<Self, FlowError> {
+        Ok(match stage {
+            FlowStage::Synthesis => Artifact::Synthesized(Synthesized::from_json(text)?),
+            FlowStage::Placement => Artifact::Placed(Placed::from_json(text)?),
+            FlowStage::Routing => Artifact::Routed(Routed::from_json(text)?),
+            FlowStage::Check => Artifact::Checked(Checked::from_json(text)?),
+        })
+    }
+}
+
 /// A staged RTL-to-GDS run: drives the pipeline one stage at a time, shares
 /// the technology across stages, notifies observers and collects per-stage
 /// timings.
 ///
 /// See the [module documentation](self) for the stage sequence and a full
-/// example; [`Flow`](crate::Flow) wraps a session into the original
-/// push-button API.
+/// example; [`FlowSession::run`] is the push-button entry point.
 pub struct FlowSession {
     technology: Arc<Technology>,
     /// Cached [`Technology::fingerprint`], stamped into every artifact.
@@ -529,8 +596,8 @@ impl FlowSession {
     }
 
     /// Creates a session around an existing shared technology (so several
-    /// sessions — or a [`Flow`](crate::Flow) and its sessions — reuse one
-    /// allocation).
+    /// sessions reuse one allocation). Unlike [`FlowSession::new`], this
+    /// runs no setup lint: the caller vouches for the configuration.
     pub fn with_technology(config: FlowConfig, technology: Arc<Technology>) -> Self {
         let fingerprint = technology.fingerprint();
         Self {
@@ -733,6 +800,34 @@ impl FlowSession {
         }
     }
 
+    /// The frame every stage method runs in: refuse an input from another
+    /// technology, poll the cancel token, notify observers, time `body`,
+    /// poll again (a token that fired while `body` ran discards its
+    /// possibly partial result), record the timing, and — outside the timed
+    /// region — gate the artifact on `verify` when verification is enabled.
+    fn run_stage<I, T>(
+        &mut self,
+        stage: FlowStage,
+        input: I,
+        fingerprint: fn(&I) -> Option<&str>,
+        body: impl FnOnce(&mut Self, I) -> Result<T, FlowError>,
+        verify: impl FnOnce(&Self, &T) -> VerifyReport,
+    ) -> Result<T, FlowError> {
+        if let Some(found) = fingerprint(&input) {
+            self.ensure_same_technology(found)?;
+        }
+        self.ensure_not_cancelled(stage)?;
+        self.stage_started(stage);
+        let start = Instant::now();
+        let artifact = body(self, input)?;
+        self.ensure_not_cancelled(stage)?;
+        self.stage_finished(stage, start.elapsed().as_secs_f64());
+        if self.config.verify.enabled {
+            self.verify_gate(verify(self, &artifact))?;
+        }
+        Ok(artifact)
+    }
+
     /// Runs logic synthesis (majority conversion, splitter and buffer
     /// insertion, path balancing) on a gate-level netlist.
     ///
@@ -744,28 +839,29 @@ impl FlowSession {
     /// validation lint does not cover, and [`FlowError::Synthesis`] if the
     /// synthesis stage rejects it.
     pub fn synthesize(&mut self, netlist: &Netlist) -> Result<Synthesized, FlowError> {
-        self.ensure_not_cancelled(FlowStage::Synthesis)?;
-        self.stage_started(FlowStage::Synthesis);
-        let start = Instant::now();
-        self.lint_gate(netlist)?;
-        netlist.validate()?;
-        let synthesizer =
-            Synthesizer::with_options(Arc::clone(&self.technology), self.config.synthesis);
-        let synthesis = synthesizer.run(netlist)?;
-        // Synthesis is not internally cancellable (it is the cheapest
-        // stage); a deadline that fired while it ran is still honored here,
-        // discarding the result.
-        self.ensure_not_cancelled(FlowStage::Synthesis)?;
-        self.stage_finished(FlowStage::Synthesis, start.elapsed().as_secs_f64());
-        let synthesized = Synthesized {
-            design_name: netlist.name().to_owned(),
-            tech_fingerprint: self.fingerprint.clone(),
-            synthesis,
-        };
-        if self.config.verify.enabled {
-            self.verify_gate(self.verify_synthesized(netlist, &synthesized))?;
-        }
-        Ok(synthesized)
+        self.run_stage(
+            FlowStage::Synthesis,
+            netlist,
+            |_| None,
+            |session, netlist| {
+                session.lint_gate(netlist)?;
+                netlist.validate()?;
+                // Synthesis is not internally cancellable (it is the
+                // cheapest stage); a deadline that fires while it runs is
+                // still honored when it returns, discarding the result.
+                let synthesis = Synthesizer::with_options(
+                    Arc::clone(&session.technology),
+                    session.config.synthesis,
+                )
+                .run(netlist)?;
+                Ok(Synthesized {
+                    design_name: netlist.name().to_owned(),
+                    tech_fingerprint: session.fingerprint.clone(),
+                    synthesis,
+                })
+            },
+            |session, synthesized| session.verify_synthesized(netlist, synthesized),
+        )
     }
 
     /// Runs placement (global, legalization, detailed, buffer rows) with the
@@ -776,24 +872,21 @@ impl FlowSession {
     /// Returns [`FlowError::TechnologyMismatch`] when `synthesized` was
     /// produced (or checkpointed) under a different technology.
     pub fn place(&mut self, synthesized: Synthesized) -> Result<Placed, FlowError> {
-        self.ensure_same_technology(&synthesized.tech_fingerprint)?;
-        self.ensure_not_cancelled(FlowStage::Placement)?;
-        self.stage_started(FlowStage::Placement);
-        let start = Instant::now();
-        let engine =
-            PlacementEngine::with_options(Arc::clone(&self.technology), self.config.placement)
-                .with_cancel(self.cancel.clone());
-        let placement = engine.place(&synthesized.synthesis, self.config.placer);
-        // A fired token means `placement` is a partial refinement; discard
-        // it instead of letting a half-optimized design masquerade as a
-        // stage result.
-        self.ensure_not_cancelled(FlowStage::Placement)?;
-        self.stage_finished(FlowStage::Placement, start.elapsed().as_secs_f64());
-        let placed = Placed { synthesized, placement };
-        if self.config.verify.enabled {
-            self.verify_gate(self.verify_placed(&placed))?;
-        }
-        Ok(placed)
+        self.run_stage(
+            FlowStage::Placement,
+            synthesized,
+            |synthesized| Some(synthesized.tech_fingerprint.as_str()),
+            |session, synthesized| {
+                let engine = PlacementEngine::with_options(
+                    Arc::clone(&session.technology),
+                    session.config.placement,
+                )
+                .with_cancel(session.cancel.clone());
+                let placement = engine.place(&synthesized.synthesis, session.config.placer);
+                Ok(Placed { synthesized, placement })
+            },
+            Self::verify_placed,
+        )
     }
 
     /// Routes every net of the placed design, channel by channel.
@@ -803,20 +896,19 @@ impl FlowSession {
     /// Returns [`FlowError::TechnologyMismatch`] when `placed` was produced
     /// (or checkpointed) under a different technology.
     pub fn route(&mut self, placed: Placed) -> Result<Routed, FlowError> {
-        self.ensure_same_technology(placed.tech_fingerprint())?;
-        self.ensure_not_cancelled(FlowStage::Routing)?;
-        self.stage_started(FlowStage::Routing);
-        let start = Instant::now();
-        let router = Router::with_config(Arc::clone(&self.technology), self.config.router)
-            .with_cancel(self.cancel.clone());
-        let routing = router.route(&placed.placement.design);
-        self.ensure_not_cancelled(FlowStage::Routing)?;
-        self.stage_finished(FlowStage::Routing, start.elapsed().as_secs_f64());
-        let routed = Routed { placed, routing, dirty_channels: Vec::new() };
-        if self.config.verify.enabled {
-            self.verify_gate(self.verify_routed(&routed))?;
-        }
-        Ok(routed)
+        self.run_stage(
+            FlowStage::Routing,
+            placed,
+            |placed| Some(placed.tech_fingerprint()),
+            |session, placed| {
+                let router =
+                    Router::with_config(Arc::clone(&session.technology), session.config.router)
+                        .with_cancel(session.cancel.clone());
+                let routing = router.route(&placed.placement.design);
+                Ok(Routed { placed, routing, dirty_channels: Vec::new() })
+            },
+            Self::verify_routed,
+        )
     }
 
     /// Runs DRC and repairs violations in place, then generates the
@@ -849,15 +941,24 @@ impl FlowSession {
     /// reflects the *repaired* placement — bit-identical to a from-scratch
     /// scalar analysis of the final design — instead of going stale the
     /// moment the repair loop moves a cell.
+    ///
     /// # Errors
     ///
     /// Returns [`FlowError::TechnologyMismatch`] when `routed` was produced
     /// (or checkpointed) under a different technology.
     pub fn check(&mut self, routed: Routed) -> Result<Checked, FlowError> {
-        self.ensure_same_technology(routed.tech_fingerprint())?;
-        self.ensure_not_cancelled(FlowStage::Check)?;
-        self.stage_started(FlowStage::Check);
-        let start = Instant::now();
+        self.run_stage(
+            FlowStage::Check,
+            routed,
+            |routed| Some(routed.tech_fingerprint()),
+            Self::check_and_repair,
+            Self::verify_checked,
+        )
+    }
+
+    /// The body of [`FlowSession::check`]: the DRC-repair loop, then the
+    /// layout.
+    fn check_and_repair(&mut self, routed: Routed) -> Result<Checked, FlowError> {
         let Routed { mut placed, mut routing, mut dirty_channels } = routed;
         let checker = DrcChecker::for_technology(&self.technology).with_cancel(self.cancel.clone());
         let router = Router::with_config(Arc::clone(&self.technology), self.config.router)
@@ -981,18 +1082,47 @@ impl FlowSession {
         // is built once, from the final ones.
         let layout = LayoutGenerator::new(Arc::clone(&self.technology))
             .generate(&placed.placement.design, &routing);
-        self.ensure_not_cancelled(FlowStage::Check)?;
-        self.stage_finished(FlowStage::Check, start.elapsed().as_secs_f64());
-        let checked = Checked {
+        Ok(Checked {
             routed: Routed { placed, routing, dirty_channels },
             layout,
             drc,
             drc_iterations,
-        };
-        if self.config.verify.enabled {
-            self.verify_gate(self.verify_checked(&checked))?;
+        })
+    }
+
+    /// Runs the stage after `artifact` and returns its artifact. A
+    /// [`Checked`] artifact is final: advancing it returns it unchanged.
+    /// Drive a loop with [`FlowStage::next`] on [`Artifact::stage`].
+    ///
+    /// # Errors
+    ///
+    /// The errors of the stage method that runs: [`FlowSession::place`],
+    /// [`FlowSession::route`] or [`FlowSession::check`].
+    pub fn advance(&mut self, artifact: Artifact) -> Result<Artifact, FlowError> {
+        Ok(match artifact {
+            Artifact::Synthesized(synthesized) => Artifact::Placed(self.place(synthesized)?),
+            Artifact::Placed(placed) => Artifact::Routed(self.route(placed)?),
+            Artifact::Routed(routed) => Artifact::Checked(self.check(routed)?),
+            checked @ Artifact::Checked(_) => checked,
+        })
+    }
+
+    /// Runs the whole flow on a gate-level netlist: synthesizes it, advances
+    /// through every later stage and [finishes](FlowSession::finish) the
+    /// report.
+    ///
+    /// # Errors
+    ///
+    /// The first error of any stage; see [`FlowSession::synthesize`] and
+    /// [`FlowSession::advance`].
+    pub fn run(&mut self, netlist: &Netlist) -> Result<FlowReport, FlowError> {
+        let mut artifact = Artifact::Synthesized(self.synthesize(netlist)?);
+        loop {
+            artifact = match self.advance(artifact)? {
+                Artifact::Checked(checked) => return Ok(self.finish(checked)),
+                earlier => earlier,
+            };
         }
-        Ok(checked)
     }
 
     /// Assembles the final [`FlowReport`] from the check-stage artifact,
@@ -1074,13 +1204,12 @@ mod tests {
 
         let netlist = benchmark_circuit(Benchmark::Adder8);
         let synthesized = session.synthesize(&netlist).expect("synthesis succeeds");
-        assert_eq!(synthesized.stage(), FlowStage::Synthesis);
         let placed = session.place(synthesized).expect("placement succeeds");
         assert!(placed.design().cell_count() > 0);
         let routed = session.route(placed).expect("routing succeeds");
         assert!(!routed.is_dirty());
         let checked = session.check(routed).expect("check succeeds");
-        assert_eq!(checked.stage(), FlowStage::Check);
+        assert!(checked.routed.dirty_channels.is_empty());
         let report = session.finish(checked);
         assert_eq!(report.design_name, "adder8");
         assert!(report.stage_timings.total_s() > 0.0);
@@ -1107,7 +1236,7 @@ mod tests {
     fn session_report_matches_the_push_button_flow() {
         let netlist = benchmark_circuit(Benchmark::Adder8);
         let push_button =
-            crate::Flow::with_config(FlowConfig::fast()).run(&netlist).expect("flow runs");
+            FlowSession::new(FlowConfig::fast()).unwrap().run(&netlist).expect("flow runs");
 
         let mut session = FlowSession::new(FlowConfig::fast()).expect("session opens");
         let synthesized = session.synthesize(&netlist).expect("synthesis succeeds");
@@ -1120,6 +1249,102 @@ mod tests {
         assert_eq!(push_button.routing, staged.routing);
         assert_eq!(push_button.drc, staged.drc);
         assert_eq!(push_button.drc_iterations, staged.drc_iterations);
+    }
+
+    #[test]
+    fn stages_advance_in_pipeline_order() {
+        assert_eq!(FlowStage::Synthesis.next(), Some(FlowStage::Placement));
+        assert_eq!(FlowStage::Placement.next(), Some(FlowStage::Routing));
+        assert_eq!(FlowStage::Routing.next(), Some(FlowStage::Check));
+        assert_eq!(FlowStage::Check.next(), None);
+
+        let mut session = FlowSession::new(FlowConfig::fast()).expect("session opens");
+        let synthesized = session.synthesize(&benchmark_circuit(Benchmark::Adder8)).unwrap();
+        let mut artifact = Artifact::Synthesized(synthesized);
+        for stage in &FlowStage::ALL[1..] {
+            artifact = session.advance(artifact).expect("stage runs");
+            assert_eq!(artifact.stage(), *stage);
+            assert_eq!(artifact.tech_fingerprint(), session.tech_fingerprint());
+        }
+        // The check artifact is final.
+        let checked = artifact.clone();
+        assert_eq!(session.advance(artifact).expect("no stage runs"), checked);
+    }
+
+    #[test]
+    fn adder8_runs_end_to_end() {
+        let report = fast_run(&benchmark_circuit(Benchmark::Adder8)).expect("flow succeeds");
+        assert_eq!(report.design_name, "adder8");
+        assert!(report.synthesis_stats.jj_count > 0);
+        assert!(report.placement.hpwl_um > 0.0);
+        assert!(report.routing.stats.nets_routed > 0);
+        assert_eq!(report.routing.stats.failed_nets, 0);
+        assert!(report.layout.cell_instances > 0);
+        // Geometric rules must be clean after the automatic repair loop.
+        // Residual max-wirelength findings can remain when the inserted
+        // buffer rows run out of horizontal capacity; they are reported, not
+        // hidden.
+        for kind in [
+            DrcViolationKind::CellSpacing,
+            DrcViolationKind::ZigzagSpacing,
+            DrcViolationKind::Unrouted,
+            DrcViolationKind::MetalDensity,
+        ] {
+            assert_eq!(report.drc.count(kind), 0, "unexpected {kind:?} violations");
+        }
+        assert!(!report.summary().is_empty());
+        assert!(report.jj_after_routing() >= report.synthesis_stats.jj_count);
+    }
+
+    fn fast_run(netlist: &Netlist) -> Result<FlowReport, FlowError> {
+        FlowSession::new(FlowConfig::fast())?.run(netlist)
+    }
+
+    #[test]
+    fn verilog_entry_point_works() {
+        let source = r#"
+            module majority_vote(a, b, c, y);
+              input a, b, c;
+              output y;
+              wire ab, bc, ca, t;
+              and g1(ab, a, b);
+              and g2(bc, b, c);
+              and g3(ca, c, a);
+              or g4(t, ab, bc);
+              or g5(y, t, ca);
+            endmodule
+        "#;
+        let netlist = aqfp_netlist::parsers::parse_verilog(source).expect("parses");
+        let report = fast_run(&netlist).expect("flow succeeds");
+        assert_eq!(report.design_name, "majority_vote");
+        assert!(report.drc.is_clean(), "violations: {:?}", report.drc.violations);
+        assert!(report.layout.to_gds_bytes().len() > 100);
+    }
+
+    #[test]
+    fn blif_entry_point_works() {
+        let source = ".model tiny\n.inputs a b\n.outputs y\n.gate AND2 a=a b=b O=y\n.end\n";
+        let netlist = aqfp_netlist::parsers::parse_blif(source).expect("parses");
+        let report = fast_run(&netlist).expect("flow succeeds");
+        assert_eq!(report.design_name, "tiny");
+        assert!(report.routing.stats.nets_routed > 0);
+    }
+
+    #[test]
+    fn baseline_placers_run_through_the_same_flow() {
+        for placer in [aqfp_place::PlacerKind::GordianBased, aqfp_place::PlacerKind::Taas] {
+            let mut session = FlowSession::new(FlowConfig::fast().with_placer(placer)).unwrap();
+            let report = session.run(&benchmark_circuit(Benchmark::Adder8)).expect("flow runs");
+            assert_eq!(report.placement.placer, placer);
+            assert!(report.placement.hpwl_um > 0.0);
+        }
+    }
+
+    #[test]
+    fn unresolvable_tech_specs_fail_when_the_session_opens() {
+        let config = FlowConfig::fast().with_tech(crate::TechSpec::file("/no/such/tech.toml"));
+        let err = FlowSession::new(config).expect_err("missing tech file");
+        assert!(matches!(err, FlowError::Technology(_)), "{err}");
     }
 
     #[test]

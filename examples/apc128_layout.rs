@@ -15,9 +15,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let quick = std::env::args().any(|a| a == "--quick");
     let benchmark = if quick { Benchmark::Apc32 } else { Benchmark::Apc128 };
 
-    let flow = Flow::with_config(FlowConfig::paper_default());
     println!("running the full RTL-to-GDS flow on {benchmark}...");
-    let report = flow.run_benchmark(benchmark)?;
+    let report =
+        FlowSession::new(FlowConfig::paper_default())?.run(&benchmark_circuit(benchmark))?;
 
     println!("{}", report.summary());
     println!("layout statistics:");

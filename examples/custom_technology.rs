@@ -20,7 +20,7 @@ use superflow_suite::prelude::*;
 
 fn run_with(label: &str, tech: TechSpec) -> Result<(), Box<dyn std::error::Error>> {
     let config = FlowConfig::fast().with_tech(tech);
-    let report = Flow::with_config(config).run_benchmark(Benchmark::Adder8)?;
+    let report = FlowSession::new(config)?.run(&benchmark_circuit(Benchmark::Adder8))?;
     println!(
         "{label:<28} HPWL {:>9.0} um, buffer lines {:>3}, WNS {:>6}",
         report.placement.hpwl_um,

@@ -2,10 +2,11 @@
 //! small hand-written structural-Verilog module and write the resulting
 //! layout.
 //!
-//! The staged [`FlowSession`] API runs the same pipeline as the push-button
-//! `Flow::run_verilog`, but hands back a typed artifact after every stage —
-//! synthesis, placement, routing, DRC — so each one can be inspected (or
-//! serialized as a resumable JSON checkpoint) before the next stage runs.
+//! `FlowSession::run` drives the whole pipeline in one call. This example
+//! drives the same loop by hand: `FlowSession::advance` runs the stage after
+//! the artifact it is given and hands back the next one — synthesis,
+//! placement, routing, DRC — so each can be inspected (or serialized as a
+//! resumable JSON checkpoint) before the next stage runs.
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -40,44 +41,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_placer(aqfp_place::PlacerKind::SuperFlow);
     let mut session = FlowSession::new(config)?;
 
-    // 2. Synthesis: majority conversion, splitters, path balancing
-    //    (Table II columns).
+    // 2. Synthesis, then one `advance` per later stage until the check
+    //    stage. After placement the artifact could be checkpointed with
+    //    `artifact.to_json()` and resumed in a later session through
+    //    `Artifact::from_json`.
     let netlist = aqfp_netlist::parsers::parse_verilog(FULL_ADDER)?;
-    let synthesized = session.synthesize(&netlist)?;
-    println!("design          : {}", synthesized.design_name);
-    println!("-- synthesis (Table II columns) --");
-    println!("  JJs           : {}", synthesized.stats().jj_count);
-    println!("  nets          : {}", synthesized.stats().net_count);
-    println!("  delay (phases): {}", synthesized.stats().delay);
-    println!("  buffers       : {}", synthesized.stats().buffer_count);
-    println!("  splitters     : {}", synthesized.stats().splitter_count);
-
-    // 3. Placement: global + legalization + detailed, then buffer rows
-    //    (Table III columns). The artifact could be checkpointed here with
-    //    `placed.to_json()` and resumed in a later session.
-    let placed = session.place(synthesized)?;
-    println!("-- placement (Table III columns) --");
-    println!("  HPWL          : {:.0} um", placed.placement.hpwl_um);
-    println!("  buffer lines  : {}", placed.placement.buffer_lines);
-    println!("  WNS           : {} ps", placed.placement.wns_display());
-
-    // 4. Routing: layer-wise channel routing with space expansion
-    //    (Table IV columns).
-    let routed = session.route(placed)?;
-    println!("-- routing (Table IV columns) --");
-    println!("  routed nets   : {}", routed.routing.stats.nets_routed);
-    println!("  routed length : {:.0} um", routed.routing.stats.total_wirelength_um);
-    println!("  vias          : {}", routed.routing.stats.total_vias);
-
-    // 5. Signoff: layout generation + DRC with incremental violation repair
-    //    (only channels whose cells moved are rerouted).
-    let checked = session.check(routed)?;
-    println!("-- signoff --");
-    println!(
-        "  DRC           : {} ({} repair iterations)",
-        if checked.drc.is_clean() { "clean" } else { "violations remain" },
-        checked.drc_iterations,
-    );
+    let mut artifact = Artifact::Synthesized(session.synthesize(&netlist)?);
+    describe(&artifact);
+    while let Some(next) = artifact.stage().next() {
+        artifact = session.advance(artifact)?;
+        assert_eq!(artifact.stage(), next);
+        describe(&artifact);
+    }
+    let Artifact::Checked(checked) = artifact else { unreachable!("the loop ends at check") };
 
     // 6. Finish: fold everything, plus the per-stage timings the session
     //    collected, into the final report and write the GDSII layout.
@@ -93,4 +69,45 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.stage_timings.check_s,
     );
     Ok(())
+}
+
+/// Prints the paper's table columns for the stage `artifact` completes.
+fn describe(artifact: &Artifact) {
+    match artifact {
+        // Majority conversion, splitters, path balancing (Table II columns).
+        Artifact::Synthesized(synthesized) => {
+            let stats = synthesized.stats();
+            println!("design          : {}", synthesized.design_name);
+            println!("-- synthesis (Table II columns) --");
+            println!("  JJs           : {}", stats.jj_count);
+            println!("  nets          : {}", stats.net_count);
+            println!("  delay (phases): {}", stats.delay);
+            println!("  buffers       : {}", stats.buffer_count);
+            println!("  splitters     : {}", stats.splitter_count);
+        }
+        // Global + legalization + detailed, then buffer rows (Table III).
+        Artifact::Placed(placed) => {
+            println!("-- placement (Table III columns) --");
+            println!("  HPWL          : {:.0} um", placed.placement.hpwl_um);
+            println!("  buffer lines  : {}", placed.placement.buffer_lines);
+            println!("  WNS           : {} ps", placed.placement.wns_display());
+        }
+        // Layer-wise channel routing with space expansion (Table IV).
+        Artifact::Routed(routed) => {
+            println!("-- routing (Table IV columns) --");
+            println!("  routed nets   : {}", routed.routing.stats.nets_routed);
+            println!("  routed length : {:.0} um", routed.routing.stats.total_wirelength_um);
+            println!("  vias          : {}", routed.routing.stats.total_vias);
+        }
+        // Layout generation + DRC with incremental violation repair (only
+        // channels whose cells moved are rerouted).
+        Artifact::Checked(checked) => {
+            println!("-- signoff --");
+            println!(
+                "  DRC           : {} ({} repair iterations)",
+                if checked.drc.is_clean() { "clean" } else { "violations remain" },
+                checked.drc_iterations,
+            );
+        }
+    }
 }

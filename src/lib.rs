@@ -14,7 +14,7 @@
 /// SuperFlow workspace.
 pub mod prelude {
     pub use aqfp_cells::{
-        AqfpCell, CellKind, CellLibrary, LayerMap, ProcessRules, Technology, TechnologyRegistry,
+        AqfpCell, CellKind, LayerMap, ProcessRules, Technology, TechnologyRegistry,
     };
     pub use aqfp_netlist::generators::{benchmark_circuit, Benchmark};
     pub use aqfp_netlist::{GateId, Netlist};
@@ -23,9 +23,10 @@ pub mod prelude {
     pub use aqfp_synth::Synthesizer;
     pub use aqfp_timing::TimingAnalyzer;
     pub use superflow::{
-        error_chain, BatchConfig, BatchJob, BatchReport, BatchRunner, Checked, DesignReport,
-        DesignStatus, Fault, FaultKind, FaultPlan, Flow, FlowConfig, FlowError, FlowObserver,
-        FlowReport, FlowSession, FlowStage, LintConfig, LintReport, Placed, RepairScope, Routed,
-        StageTimings, Synthesized, TechSpec, VerifyConfig, VerifyReport, LINT_STAGE, VERIFY_STAGE,
+        error_chain, Artifact, BatchConfig, BatchJob, BatchReport, BatchRunner, Checked,
+        DesignReport, DesignStatus, Fault, FaultKind, FaultPlan, FlowConfig, FlowError,
+        FlowObserver, FlowReport, FlowSession, FlowStage, LintConfig, LintReport, Placed,
+        RepairScope, Routed, StageTimings, Synthesized, TechSpec, VerifyConfig, VerifyReport,
+        LINT_STAGE, VERIFY_STAGE,
     };
 }

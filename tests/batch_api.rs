@@ -90,6 +90,35 @@ fn degraded_retry_rescues_a_first_attempt_panic() {
 }
 
 #[test]
+fn a_corrupt_artifact_fails_at_verify_at_every_stage_without_a_retry() {
+    // Each stage's artifact is damaged after the stage completed; the
+    // post-stage verifier must catch it with the stage's rule, and the
+    // deterministic verdict skips the degraded retry even though it is on.
+    for (stage, rule) in [
+        ("synthesis", "AQFP-V001"),
+        ("placement", "AQFP-V010"),
+        ("routing", "AQFP-V013"),
+        ("check", "AQFP-V022"),
+    ] {
+        let spec = format!("corrupt:adder8:{stage}");
+        let faults = FaultPlan::none().with(Fault::parse(&spec).expect("valid spec"));
+        let report = BatchRunner::new(fast_batch().with_faults(faults))
+            .run(&[BatchJob::from_input("adder8")])
+            .expect("batch runs");
+        let adder8 = status_of(&report, "adder8");
+        match &adder8.status {
+            DesignStatus::Failed { error, stage: failed_at, attempts } => {
+                assert_eq!(failed_at.as_deref(), Some(VERIFY_STAGE), "{spec}: {error}");
+                assert!(error.contains(rule), "{spec}: {error}");
+                assert_eq!(*attempts, 1, "{spec}");
+            }
+            other => panic!("{spec} should fail at verify, got {other:?}"),
+        }
+        assert_eq!(adder8.attempts, 1, "{spec}");
+    }
+}
+
+#[test]
 fn corrupt_checkpoints_fail_loudly_and_the_retry_recovers() {
     let journal = temp_dir("corrupt_checkpoints");
 

@@ -45,6 +45,28 @@ fn decode(stage: &str, decoder: Decoder, text: &str, input: &str) -> Result<(), 
 }
 
 #[test]
+fn checkpoints_decode_only_as_their_own_stage() {
+    // `superflow verify` tries the stages newest first and takes the first
+    // that decodes, so a checkpoint must decode under its own stage alone.
+    for (own, text) in FlowStage::ALL.into_iter().zip(small_checkpoints()) {
+        for stage in FlowStage::ALL {
+            let decoded = Artifact::from_json(stage, &text);
+            if stage == own {
+                let artifact = decoded.expect("a checkpoint decodes as its own stage");
+                assert_eq!(artifact.stage(), own);
+                assert_eq!(artifact.to_json().expect("re-encodes"), text, "{own} bytes");
+            } else {
+                assert!(
+                    matches!(decoded, Err(FlowError::Checkpoint(_))),
+                    "a {own} checkpoint decoded as {stage}: {:?}",
+                    decoded.map(|artifact| artifact.stage())
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn arbitrary_bytes_decode_to_typed_errors() {
     // Raw bytes, and JSON-shaped token soup that gets past the first byte.
     const TOKENS: [&str; 16] = [

@@ -3,17 +3,18 @@
 use superflow_suite::prelude::*;
 
 use aqfp_layout::DrcViolationKind;
+use aqfp_netlist::parsers::{parse_blif, parse_verilog};
 use aqfp_netlist::simulate;
 use aqfp_place::PlacerKind;
 use superflow::FlowError;
 
-fn fast_flow() -> Flow {
-    Flow::with_config(superflow::FlowConfig::fast())
+fn fast_flow(netlist: &Netlist) -> Result<FlowReport, FlowError> {
+    FlowSession::new(superflow::FlowConfig::fast())?.run(netlist)
 }
 
 #[test]
 fn adder8_full_flow_produces_consistent_artifacts() {
-    let report = fast_flow().run_benchmark(Benchmark::Adder8).expect("flow succeeds");
+    let report = fast_flow(&benchmark_circuit(Benchmark::Adder8)).expect("flow succeeds");
 
     // Synthesis artifacts agree with each other.
     assert_eq!(report.synthesis_stats.gate_count, report.synthesis.netlist.gate_count());
@@ -48,7 +49,7 @@ fn synthesis_preserves_benchmark_functionality_through_the_flow() {
     // The synthesized netlist inside the flow report must stay functionally
     // equivalent to the original RTL netlist.
     let original = benchmark_circuit(Benchmark::Apc32);
-    let report = fast_flow().run_benchmark(Benchmark::Apc32).expect("flow succeeds");
+    let report = fast_flow(&original).expect("flow succeeds");
     assert!(
         simulate::equivalent_sampled(&original, &report.synthesis.netlist, 128, 0xAB).unwrap(),
         "logic synthesis must not change the circuit function"
@@ -57,10 +58,11 @@ fn synthesis_preserves_benchmark_functionality_through_the_flow() {
 
 #[test]
 fn placers_rank_as_the_paper_reports_on_a_larger_circuit() {
-    let library = CellLibrary::mit_ll();
-    let synthesized =
-        Synthesizer::new(library.clone()).run(&benchmark_circuit(Benchmark::Sorter32)).expect("ok");
-    let engine = PlacementEngine::new(library);
+    let technology = Technology::mit_ll_sqf5ee();
+    let synthesized = Synthesizer::new(technology.clone())
+        .run(&benchmark_circuit(Benchmark::Sorter32))
+        .expect("ok");
+    let engine = PlacementEngine::new(technology);
 
     let gordian = engine.place(&synthesized, PlacerKind::GordianBased);
     let taas = engine.place(&synthesized, PlacerKind::Taas);
@@ -92,7 +94,7 @@ fn placers_rank_as_the_paper_reports_on_a_larger_circuit() {
 #[test]
 fn every_quick_benchmark_survives_the_full_flow() {
     for benchmark in [Benchmark::Adder8, Benchmark::Decoder, Benchmark::C432] {
-        let report = fast_flow().run_benchmark(benchmark).expect("flow succeeds");
+        let report = fast_flow(&benchmark_circuit(benchmark)).expect("flow succeeds");
         assert_eq!(report.design_name, benchmark.name());
         // The decoder's widest buffer-row channels can exhaust the router's
         // expansion budget; a small reported remainder is acceptable, but the
@@ -111,9 +113,16 @@ fn every_quick_benchmark_survives_the_full_flow() {
 
 #[test]
 fn flow_rejects_malformed_input() {
-    assert!(matches!(fast_flow().run_verilog("not verilog at all"), Err(FlowError::Parse(_))));
+    // Text enters the flow through the parsers, which reject it before a
+    // session ever runs.
+    let parse = |result: Result<Netlist, _>| result.map_err(FlowError::from);
+    assert!(matches!(parse(parse_verilog("not verilog at all")), Err(FlowError::Parse(_))));
     assert!(matches!(
-        fast_flow().run_blif(".model m\n.inputs a\n.outputs y\n.latch a y re c 0\n.end"),
+        parse(parse_verilog("module m(a); input a; flipflop f(a); endmodule")),
+        Err(FlowError::Parse(_))
+    ));
+    assert!(matches!(
+        parse(parse_blif(".model m\n.inputs a\n.outputs y\n.latch a y re c 0\n.end")),
         Err(FlowError::Parse(_))
     ));
 }
@@ -123,9 +132,10 @@ fn baseline_and_superflow_share_the_same_netlist_view() {
     // The flow must hand the same synthesized netlist to every placer so the
     // Table III comparison is apples to apples.
     let config = superflow::FlowConfig::fast();
-    let sf = Flow::with_config(config.clone()).run_benchmark(Benchmark::Adder8).expect("ok");
-    let gd = Flow::with_config(config.with_placer(PlacerKind::GordianBased))
-        .run_benchmark(Benchmark::Adder8)
+    let netlist = benchmark_circuit(Benchmark::Adder8);
+    let sf = FlowSession::new(config.clone()).and_then(|mut s| s.run(&netlist)).expect("ok");
+    let gd = FlowSession::new(config.with_placer(PlacerKind::GordianBased))
+        .and_then(|mut s| s.run(&netlist))
         .expect("ok");
     assert_eq!(sf.synthesis_stats, gd.synthesis_stats);
 }

@@ -6,10 +6,15 @@ use superflow_suite::prelude::*;
 
 use aqfp_layout::gds::{parse_records, RecordTag};
 
+fn run_fast(benchmark: Benchmark) -> FlowReport {
+    FlowSession::new(superflow::FlowConfig::fast())
+        .and_then(|mut session| session.run(&benchmark_circuit(benchmark)))
+        .expect("flow succeeds")
+}
+
 #[test]
 fn flow_layout_stream_is_structurally_valid() {
-    let flow = Flow::with_config(superflow::FlowConfig::fast());
-    let report = flow.run_benchmark(Benchmark::Adder8).expect("flow succeeds");
+    let report = run_fast(Benchmark::Adder8);
     let bytes = report.layout.to_gds_bytes();
     let records = parse_records(&bytes).expect("valid stream");
 
@@ -49,8 +54,7 @@ fn flow_layout_stream_is_structurally_valid() {
 
 #[test]
 fn every_record_length_is_even_and_word_aligned() {
-    let flow = Flow::with_config(superflow::FlowConfig::fast());
-    let report = flow.run_benchmark(Benchmark::C432).expect("flow succeeds");
+    let report = run_fast(Benchmark::C432);
     let bytes = report.layout.to_gds_bytes();
     assert_eq!(bytes.len() % 2, 0);
     let records = parse_records(&bytes).expect("valid stream");

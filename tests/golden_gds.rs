@@ -16,7 +16,9 @@ fn golden_bytes(name: &str) -> Vec<u8> {
 }
 
 fn assert_matches_golden(config: FlowConfig, benchmark: Benchmark, golden: &str) {
-    let report = Flow::with_config(config).run_benchmark(benchmark).expect("flow succeeds");
+    let report = FlowSession::new(config)
+        .and_then(|mut session| session.run(&benchmark_circuit(benchmark)))
+        .expect("flow succeeds");
     let produced = report.layout.to_gds_bytes();
     let expected = golden_bytes(golden);
     assert_eq!(

@@ -13,7 +13,7 @@ use aqfp_cells::CellKind;
 use aqfp_netlist::generators::{random_dag, Benchmark, LargeFamily, RandomDagConfig};
 use aqfp_netlist::Netlist;
 use aqfp_synth::{SynthesizedNetlist, Synthesizer};
-use superflow::{Flow, FlowConfig, PredictReport};
+use superflow::{FlowConfig, FlowSession, PredictReport};
 
 /// Predicts a netlist under the paper-default flow configuration.
 fn predict_default(netlist: &Netlist) -> PredictReport {
@@ -145,8 +145,8 @@ fn full_flow_respects_predicted_lower_bounds() {
         let report = predict_default(&netlist);
         let bounds = report.bounds.as_ref().expect("generated design has bounds");
 
-        let flow = Flow::with_config(FlowConfig::fast());
-        let finished = flow.run(&netlist).expect("flow runs");
+        let finished =
+            FlowSession::new(FlowConfig::fast()).unwrap().run(&netlist).expect("flow runs");
         let synthesis = &finished.synthesis;
         let actual = measure(synthesis);
 

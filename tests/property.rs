@@ -18,7 +18,7 @@ use aqfp_place::global::{global_place, global_place_reference, GlobalPlacementCo
 use aqfp_place::legalize::legalize;
 use aqfp_synth::{SynthesisOptions, Synthesizer};
 use aqfp_timing::{TimingAnalyzer, TimingBatch, TimingConfig};
-use superflow::{Flow, FlowConfig, FlowSession, VerifyConfig};
+use superflow::{FlowConfig, FlowSession, VerifyConfig};
 
 /// A strategy over small random netlist configurations.
 fn dag_config() -> impl Strategy<Value = RandomDagConfig> {
@@ -324,7 +324,7 @@ proptest! {
             let config = FlowConfig::fast()
                 .with_threads(threads)
                 .with_verify(VerifyConfig { enabled: true, ..VerifyConfig::default() });
-            let mut session = Flow::with_config(config).session().expect("session starts");
+            let mut session = FlowSession::new(config).expect("session starts");
             // Each stage gate rejects its artifact on verifier findings,
             // so reaching the end means every gate passed.
             let synthesized = session.synthesize(&netlist).expect("synthesis + LEC gate");

@@ -78,8 +78,9 @@ fn every_stage_checkpoint_resumes_to_identical_gds() {
 
 #[test]
 fn flow_reports_round_trip_through_json() {
-    let report =
-        Flow::with_config(fast_config()).run_benchmark(Benchmark::Adder8).expect("flow succeeds");
+    let report = FlowSession::new(fast_config())
+        .and_then(|mut session| session.run(&benchmark_circuit(Benchmark::Adder8)))
+        .expect("flow succeeds");
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     let parsed: FlowReport = serde_json::from_str(&json).expect("report parses");
     assert_eq!(parsed.design_name, report.design_name);

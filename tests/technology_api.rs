@@ -1,8 +1,13 @@
 //! Integration tests for the data-driven `Technology` (PDK) API: a dumped
-//! technology file drives the flow to byte-identical results, and session
-//! checkpoints refuse to resume under a different technology.
+//! technology file drives the flow to byte-identical results, session
+//! checkpoints refuse to resume under a different technology, and the
+//! technology records round-trip through JSON.
 
 use superflow_suite::prelude::*;
+
+fn run_adder8(config: FlowConfig) -> Result<FlowReport, FlowError> {
+    FlowSession::new(config)?.run(&benchmark_circuit(Benchmark::Adder8))
+}
 
 fn temp_path(file: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("superflow_technology_api");
@@ -18,17 +23,13 @@ fn dumped_technology_files_reproduce_builtin_gds_and_timing() {
     for technology in [Technology::mit_ll_sqf5ee(), Technology::aist_stp2()] {
         let name = technology.name.clone();
         let builtin_config = FlowConfig::fast().with_tech(TechSpec::builtin(name.clone()));
-        let builtin = Flow::with_config(builtin_config)
-            .run_benchmark(Benchmark::Adder8)
-            .expect("builtin flow runs");
+        let builtin = run_adder8(builtin_config).expect("builtin flow runs");
 
         let path = temp_path(&format!("{name}.toml"));
         std::fs::write(&path, technology.to_toml().expect("dumps")).expect("writes");
         let file_config =
             FlowConfig::fast().with_tech(TechSpec::file(path.to_str().expect("utf-8")));
-        let from_file = Flow::with_config(file_config)
-            .run_benchmark(Benchmark::Adder8)
-            .expect("file-driven flow runs");
+        let from_file = run_adder8(file_config).expect("file-driven flow runs");
 
         assert_eq!(
             builtin.layout.to_gds_bytes(),
@@ -59,14 +60,10 @@ fn edited_dump_changes_the_flow_like_a_new_process() {
     let path = temp_path("tight.toml");
     std::fs::write(&path, &edited).expect("writes");
 
-    let stock = Flow::with_config(FlowConfig::fast())
-        .run_benchmark(Benchmark::Adder8)
-        .expect("stock flow runs");
-    let tight = Flow::with_config(
-        FlowConfig::fast().with_tech(TechSpec::file(path.to_str().expect("utf-8"))),
-    )
-    .run_benchmark(Benchmark::Adder8)
-    .expect("edited flow runs");
+    let stock = run_adder8(FlowConfig::fast()).expect("stock flow runs");
+    let tight =
+        run_adder8(FlowConfig::fast().with_tech(TechSpec::file(path.to_str().expect("utf-8"))))
+            .expect("edited flow runs");
 
     assert!(
         tight.placement.buffer_lines >= stock.placement.buffer_lines,
@@ -126,10 +123,42 @@ fn inline_technology_survives_config_serde_and_drives_the_flow() {
     let config = FlowConfig::fast().with_technology(technology);
     let json = serde_json::to_string(&config).expect("config serializes");
     let parsed: FlowConfig = serde_json::from_str(&json).expect("config parses");
-    let report = Flow::with_config(parsed).run_benchmark(Benchmark::Adder8).expect("flow runs");
+    let report = run_adder8(parsed).expect("flow runs");
 
     // Identical data under a different name ⇒ identical physical result.
-    let stock =
-        Flow::with_config(FlowConfig::fast()).run_benchmark(Benchmark::Adder8).expect("runs");
+    let stock = run_adder8(FlowConfig::fast()).expect("runs");
     assert_eq!(report.layout.to_gds_bytes(), stock.layout.to_gds_bytes());
+}
+
+/// The technology's component records round-trip through serde JSON, so a
+/// rule or timing table edited by an external tool can be fed back in.
+#[test]
+fn process_rules_round_trip_and_stay_valid() {
+    for rules in [ProcessRules::mit_ll(), ProcessRules::stp2()] {
+        let json = serde_json::to_string(&rules).expect("serialize");
+        let back: ProcessRules = serde_json::from_str(&json).expect("deserialize");
+        assert_eq!(rules, back);
+        back.validate().expect("still valid");
+    }
+}
+
+#[test]
+fn timing_and_energy_configs_round_trip() {
+    let timing = aqfp_timing::TimingConfig::paper_default();
+    let back: aqfp_timing::TimingConfig =
+        serde_json::from_str(&serde_json::to_string(&timing).expect("serialize"))
+            .expect("deserialize");
+    assert_eq!(timing, back);
+
+    let energy = aqfp_cells::EnergyModel::aqfp_5ghz();
+    let back: aqfp_cells::EnergyModel =
+        serde_json::from_str(&serde_json::to_string(&energy).expect("serialize"))
+            .expect("deserialize");
+    assert_eq!(energy, back);
+
+    let clock = aqfp_cells::FourPhaseClock::new(6.5);
+    let back: aqfp_cells::FourPhaseClock =
+        serde_json::from_str(&serde_json::to_string(&clock).expect("serialize"))
+            .expect("deserialize");
+    assert_eq!(clock, back);
 }

@@ -7,13 +7,12 @@
 //! that weakens a verifier shows up as a silent pass here.
 
 use aqfp_verify::{lec, lvs, mutate, phase, Defect};
-use superflow::{Checked, Flow, FlowConfig, FlowSession};
+use superflow::{Checked, FlowConfig, FlowSession};
 
 /// Runs the fast flow on adder8 to the check stage, returning the session
 /// (for the verify entry points) and the final artifact.
 fn checked_adder8() -> (FlowSession, Checked, aqfp_netlist::Netlist) {
-    let flow = Flow::with_config(FlowConfig::fast());
-    let mut session = flow.session().expect("session starts");
+    let mut session = FlowSession::new(FlowConfig::fast()).expect("session starts");
     let netlist = superflow::load_netlist("adder8").expect("benchmark resolves");
     let synthesized = session.synthesize(&netlist).expect("synthesis");
     let placed = session.place(synthesized).expect("placement");
