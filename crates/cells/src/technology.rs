@@ -574,12 +574,50 @@ mod tests {
     }
 
     #[test]
-    fn total_jj_sums_kinds() {
+    fn all_dimensions_are_grid_aligned() {
+        let tech = Technology::aist_stp2();
+        for cell in tech.iter() {
+            assert_eq!(cell.width % 10.0, 0.0, "{} width off-grid", cell.kind);
+            assert_eq!(cell.height % 10.0, 0.0, "{} height off-grid", cell.kind);
+            for pin in cell.input_pins.iter().chain(cell.output_pins.iter()) {
+                assert_eq!(pin.offset.x % 10.0, 0.0, "{} pin {} off-grid", cell.kind, pin.name);
+            }
+        }
+    }
+
+    #[test]
+    fn pin_counts_match_cell_arity() {
+        let tech = Technology::mit_ll_sqf5ee();
+        for cell in tech.iter() {
+            assert_eq!(cell.input_pins.len(), cell.kind.input_count());
+            assert_eq!(cell.output_pins.len(), cell.kind.output_count());
+        }
+    }
+
+    #[test]
+    fn buffer_is_double_jj() {
         let tech = Technology::mit_ll_sqf5ee();
         assert_eq!(tech.cell(CellKind::Buffer).jj_count, 2);
+        assert!(tech.cell(CellKind::Majority3).jj_count > 2);
         assert_eq!(tech.cell(CellKind::Input).jj_count, 0);
+    }
+
+    #[test]
+    fn total_jj_sums_kinds() {
+        let tech = Technology::mit_ll_sqf5ee();
         let total = tech.total_jj([CellKind::Buffer, CellKind::Buffer, CellKind::Majority3]);
         assert_eq!(total, 2 + 2 + 6);
+    }
+
+    #[test]
+    fn pin_positions_are_inside_cell() {
+        let tech = Technology::mit_ll_sqf5ee();
+        for cell in tech.iter() {
+            for pin in cell.input_pins.iter().chain(cell.output_pins.iter()) {
+                assert!(pin.offset.x >= 0.0 && pin.offset.x <= cell.width);
+                assert!(pin.offset.y >= 0.0 && pin.offset.y <= cell.height);
+            }
+        }
     }
 
     #[test]

@@ -1322,6 +1322,13 @@ mod tests {
     }
 
     #[test]
+    fn invalid_verilog_is_rejected() {
+        let source = "module m(a); input a; flipflop f(a); endmodule";
+        let err = aqfp_netlist::parsers::parse_verilog(source).map_err(FlowError::from);
+        assert!(matches!(err, Err(FlowError::Parse(_))));
+    }
+
+    #[test]
     fn blif_entry_point_works() {
         let source = ".model tiny\n.inputs a b\n.outputs y\n.gate AND2 a=a b=b O=y\n.end\n";
         let netlist = aqfp_netlist::parsers::parse_blif(source).expect("parses");
