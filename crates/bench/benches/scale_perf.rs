@@ -8,13 +8,11 @@
 //! multi-hundred-MB artifact on disk). Sizes run smallest-first because the
 //! per-row memory number is the monotone `VmHWM` high-water mark.
 //!
-//! This bench deliberately does not use the criterion sampling harness: a
-//! scaling claim needs placed-cell counts, stage splits, output size and
-//! peak RSS per row, and the 10^6 row is far too expensive to sample ten
-//! times. One measured run per row goes into `BENCH_scale.json`
-//! (report-only compared against the committed file, then rewritten — the
-//! same trajectory procedure as the timing baselines in
-//! `bench::baseline`).
+//! This bench does not sample: a scaling claim needs placed-cell counts,
+//! stage splits, output size and peak RSS per row, and the 10^6 row is far
+//! too expensive to run ten times. One measured run per row goes into
+//! `BENCH_scale.json` (report-only compared against the committed file,
+//! then rewritten).
 //!
 //! Flags and knobs:
 //!

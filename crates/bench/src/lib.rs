@@ -9,18 +9,18 @@
 //!   [`table3::table3_rows`];
 //! * **Table IV** — routing results (#JJs after routing, #Nets, routed
 //!   wirelength) → [`table4::table4_rows`];
-//! * **Fig. 5** — the final GDS layout of `apc128` → the `fig5` bench /
+//! * **Fig. 5** — the final GDS layout of `apc128` → the `fig5` binary /
 //!   `examples/apc128_layout.rs`.
 //!
 //! Each table has a binary (`cargo run --release -p bench --bin table2` …)
-//! that regenerates the full table over all nine circuits, and a Criterion
-//! bench that measures the corresponding pipeline stage on a representative
-//! subset. Paper reference values are bundled in [`mod@reference`] so the
-//! binaries can print a side-by-side comparison.
+//! that regenerates the full table over all nine circuits. Paper reference
+//! values are bundled in [`mod@reference`] so the binaries can print a
+//! side-by-side comparison. The `scale_perf` bench records the
+//! million-cell scale trajectory in `BENCH_scale.json` ([`scale`]); per-layer
+//! timing of the flow lives in the flow benchmark (`flowbench/`).
 
 #![warn(clippy::unwrap_used)]
 
-pub mod baseline;
 pub mod reference;
 pub mod scale;
 pub mod table2;

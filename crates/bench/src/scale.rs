@@ -1,10 +1,9 @@
 //! Scale-trajectory bookkeeping for the `scale_perf` bench.
 //!
-//! Unlike the [`crate::baseline`] timing baselines, a scale row carries the
-//! quantities that make a scaling claim checkable — placed cell count,
-//! per-stage wall-clock, streamed GDS size and peak RSS — so
-//! `BENCH_scale.json` records the whole cells × wall-clock × memory
-//! trajectory, not just durations. The compare step is report-only: it
+//! A scale row carries the quantities that make a scaling claim checkable
+//! — placed cell count, per-stage wall-clock, streamed GDS size and peak
+//! RSS — so `BENCH_scale.json` records the whole cells × wall-clock ×
+//! memory trajectory, not just durations. The compare step is report-only: it
 //! prints per-row ratios against the committed file and never fails, and a
 //! partial run (size cap or name filter active) never overwrites the
 //! committed full trajectory.

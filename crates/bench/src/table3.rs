@@ -177,6 +177,18 @@ mod tests {
             taas_ratio > 1.0,
             "SuperFlow should beat TAAS on HPWL on average (ratio {taas_ratio:.3})"
         );
+        let gordian_ratio = geo_mean_ratio(&rows, |r| (r.gordian.hpwl, r.superflow.hpwl));
+        assert!(
+            gordian_ratio > 1.0,
+            "SuperFlow should beat GORDIAN on HPWL on average (ratio {gordian_ratio:.3})"
+        );
+        let buffer_ratio = geo_mean_ratio(&rows, |r| {
+            (r.taas.buffers.max(1) as f64, r.superflow.buffers.max(1) as f64)
+        });
+        assert!(
+            buffer_ratio >= 1.0,
+            "SuperFlow should insert no more buffers than TAAS (ratio {buffer_ratio:.3})"
+        );
     }
 
     #[test]

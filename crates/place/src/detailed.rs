@@ -854,14 +854,14 @@ fn slide_is_legal(x: f64, width: f64, left_limit: f64, right_limit: f64, spacing
     true
 }
 
-/// The pre-rewrite scalar detailed placer, kept as the perf baseline the
-/// `placement_perf` bench compares against.
+/// The pre-rewrite scalar detailed placer, kept as the reference the
+/// delta-cost placer's unit tests compare against.
 ///
 /// Allocates and sorts a net list per evaluated candidate and sweeps rows
 /// strictly serially with immediately visible moves (Gauss-Seidel order), so
 /// its results differ slightly from [`detailed_place`]'s frozen-snapshot
-/// half-sweeps; its quality is equivalent, its speed is what the delta-cost
-/// rewrite is measured against. Ignores [`DetailedPlacementConfig::threads`].
+/// half-sweeps; its quality is equivalent. Ignores
+/// [`DetailedPlacementConfig::threads`].
 pub fn detailed_place_reference(
     design: &mut PlacedDesign,
     config: &DetailedPlacementConfig,
@@ -934,7 +934,7 @@ pub fn detailed_place_reference(
     report.hpwl_after = design.hpwl();
     // The baseline mutates coordinates in place, so moved cells are
     // recovered from a start-of-run snapshot (cells that moved and returned
-    // exactly are not listed; the baseline is a bench-only path).
+    // exactly are not listed; the baseline is a reference-only path).
     report.moved_cells = (0..design.cells.len())
         .filter(|&cell| (design.cells[cell].x - start_x[cell]).abs() > 1e-9)
         .collect();
@@ -1135,6 +1135,12 @@ mod tests {
         assert!(
             flexible_report.swaps_accepted >= restricted_report.swaps_accepted,
             "mixed-size swapping explores a superset of moves"
+        );
+        assert!(
+            flexible_report.hpwl_after <= restricted_report.hpwl_after,
+            "mixed-size swapping ends no worse on HPWL ({} vs {} um)",
+            flexible_report.hpwl_after,
+            restricted_report.hpwl_after
         );
     }
 

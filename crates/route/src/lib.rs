@@ -49,9 +49,9 @@
 //!   byte-identical to a from-scratch [`Router::route`] of the same design;
 //!   the flow's DRC-repair loop is built on this entry point.
 //!
-//! The `routing_perf` bench in `crates/bench` tracks these paths
-//! (`route_channel`, `route_parallel_scaling`, `global_place_iteration`) and
-//! refreshes the `BENCH_routing.json` baseline at the workspace root.
+//! The flow benchmark (`flowbench/`) times these paths per layer
+//! (`route.route_s`, `route.partial_s`); the unit tests pin serial/parallel
+//! and partial/from-scratch byte identity.
 //!
 //! # Examples
 //!

@@ -860,9 +860,13 @@ mod tests {
         let (design, library) = placed(Benchmark::Apc32);
         let config =
             RouterConfig { grid_step_um: 10.0, initial_tracks: 2, max_expansions: 64, threads: 0 };
-        let routing = Router::with_config(library, config).route(&design);
+        let routing = Router::with_config(library.clone(), config).route(&design);
         assert!(routing.stats.space_expansions > 0, "narrow channels must expand");
         assert_eq!(routing.stats.failed_nets, 0);
+        // The same narrow channels without expansion leave nets unrouted.
+        let config = RouterConfig { max_expansions: 0, ..config };
+        let routing = Router::with_config(library, config).route(&design);
+        assert!(routing.stats.failed_nets > 0, "without expansion some nets must fail");
     }
 
     #[test]

@@ -354,18 +354,25 @@ pub fn check_gds(
             _ => extra_srefs.push((sname, x, y)),
         }
     }
-    for ((sname, x, y), names) in &expected_instances {
-        for name in names {
-            instance_findings.push(violation(
-                RULE_INSTANCE,
-                format!(
-                    "cell `{name}` has no `{sname}` reference at ({:.3} µm, {:.3} µm) in the GDS",
-                    *x as f64 / DB_PER_UM,
-                    *y as f64 / DB_PER_UM
-                ),
-                Some((*name).to_owned()),
-            ));
-        }
+    // Only the leftovers are sorted, so `capped` keeps the same findings
+    // whatever the map's iteration order.
+    let mut unmatched: Vec<(&str, i32, i32, &str)> = expected_instances
+        .iter()
+        .flat_map(|((sname, x, y), names)| {
+            names.iter().map(move |&name| (sname.as_str(), *x, *y, name))
+        })
+        .collect();
+    unmatched.sort_unstable();
+    for (sname, x, y, name) in unmatched {
+        instance_findings.push(violation(
+            RULE_INSTANCE,
+            format!(
+                "cell `{name}` has no `{sname}` reference at ({:.3} µm, {:.3} µm) in the GDS",
+                x as f64 / DB_PER_UM,
+                y as f64 / DB_PER_UM
+            ),
+            Some(name.to_owned()),
+        ));
     }
     for (sname, x, y) in extra_srefs {
         instance_findings.push(violation(
@@ -426,7 +433,7 @@ pub fn check_gds(
         .filter(|(_, (count, _, _))| *count > 0)
         .map(|(path, &(count, net, channel))| (path, count, net, channel))
         .collect();
-    missing.sort_by_key(|&(_, _, net, _)| net);
+    missing.sort_unstable_by_key(|&(path, _, net, _)| (net, path));
     for (path, count, net, channel) in missing {
         let (x, y) = path.points_db[0];
         wire_findings.push(violation(
@@ -528,6 +535,27 @@ mod tests {
                 .any(|d| d.rule == RULE_INSTANCE && d.object.as_deref() == Some(name.as_str())),
             "{findings:?}"
         );
+    }
+
+    #[test]
+    fn over_cap_reports_are_repeatable() {
+        // Every cell displaced and every wire absent from the GDS: both
+        // V022 and V023 overflow the per-rule cap, so which findings are
+        // kept must not depend on hash-map iteration order.
+        let (mut design, mut routing, technology, _) = laid_out_adder();
+        let wires = std::mem::take(&mut routing.wires);
+        let bytes =
+            LayoutGenerator::new(technology.clone()).generate(&design, &routing).to_gds_bytes();
+        routing.wires = wires;
+        for cell in &mut design.cells {
+            cell.x += 1.0;
+        }
+        let first = check_gds(&bytes, &design, &routing, &technology);
+        for rule in [RULE_INSTANCE, RULE_WIRE_CONNECTIVITY] {
+            let count = first.iter().filter(|d| d.rule == rule).count();
+            assert_eq!(count, crate::report::PER_RULE_CAP + 1, "{rule} must hit the cap");
+        }
+        assert_eq!(first, check_gds(&bytes, &design, &routing, &technology));
     }
 
     #[test]
